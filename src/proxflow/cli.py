@@ -9,10 +9,12 @@ lasso        the twelve-variant regression suite; per-run + aggregate CSVs
 matcomp      the completion suite (single weight or --anneal)
 
 Exit codes: 0 success/converged, 1 bad arguments, 2 not converged (or
-slope outside the expected band / partial suite failure), 3 diverged or
-fit failure.  Output CSVs land in --outdir (default: $PROXFLOW_OUTDIR or
-the working directory); reruns with identical flags and seeds overwrite
-them with identical content, wall-clock columns aside.
+slope outside the expected band / partial suite failure), 3 diverged,
+fit failure, or NumericalError (a factorization or decomposition
+failed, or a reference trajectory left float range).  Output CSVs land
+in --outdir (default: $PROXFLOW_OUTDIR or the working directory);
+reruns with identical flags and seeds overwrite them with identical
+content, wall-clock columns aside.
 
 Experiment flags can also be read from a plain-text config file
 (``key = value`` per line, ``#`` comments, UTF-8); unknown keys are
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import csvio, experiments, odelab, prox
 from .damping import CombinedDamping, ConstantDamping, DecayingDamping, NoDamping
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .odelab import AcceleratedFlow, GradientFlow
 from .solvers import (
     Problem,
@@ -389,6 +391,9 @@ def main(argv=None) -> int:
     except (ParameterError, ValueError) as exc:
         print(f"proxflow: error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
+    except NumericalError as exc:
+        print(f"proxflow: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 def entry() -> None:

@@ -58,18 +58,11 @@ def prox_nuclear(x: Element, tau: float) -> Element:
 def prox_least_squares(v: Element, lam: float, A: Element, b: Element) -> Element:
     """Solve ``(I + lam*A^T A) x = v + lam*A^T b``, the prox of 0.5*||Ax-b||^2.
 
-    Stateless one-shot variant; :class:`LeastSquares` caches the
-    factorization for repeated calls at fixed ``lam``.
+    One-shot form of ``LeastSquares(A, b).prox(v, lam)``; keep the oracle
+    instead when calling repeatedly at fixed ``lam``, so its cached
+    factorization is reused.
     """
-    if lam <= 0:
-        raise ParameterError(f"prox parameter must be > 0, got {lam}")
-    if A.shape[0] != b.shape[0] or A.shape[1] != v.shape[0]:
-        raise ParameterError(
-            f"inconsistent dimensions: A {A.shape}, b {b.shape}, v {v.shape}"
-        )
-    n = A.shape[1]
-    system = np.eye(n) + lam * (A.T @ A)
-    return cho_solve(cho_factor(system), v + lam * (A.T @ b))
+    return LeastSquares(A, b).prox(v, lam)
 
 
 def cayley(oracle, lam: float, x: Element) -> Element:
@@ -118,6 +111,45 @@ def gram_spectral_norm(A: Element, tol: float = 1e-12, max_iters: int = 5000) ->
             return new_val
         val = new_val
     return val
+
+
+# ---------------------------------------------------------------------------
+# factorization cache
+
+
+class _CholeskyCache:
+    """Cholesky factors of I + lam*M, one per ``lam``, built on first use.
+
+    ``matrix()`` returns a fresh array holding M; it is scaled, shifted
+    and factored in place.  Adding 1 on the diagonal gives the same bits
+    as ``np.eye(n) + lam*M`` without the identity temporary.  Solvers
+    call a prox every iteration at fixed ``lam``, so each factor is built
+    once; the build is lock-protected so concurrent callers share it.
+    """
+
+    def __init__(self, matrix):
+        self._matrix = matrix
+        self._factors: dict[float, tuple] = {}
+        self._lock = threading.Lock()
+
+    def __call__(self, lam: float) -> tuple:
+        fact = self._factors.get(lam)
+        if fact is None:
+            with self._lock:
+                fact = self._factors.get(lam)
+                if fact is None:
+                    system = self._matrix()
+                    system *= lam
+                    system.flat[:: system.shape[0] + 1] += 1.0
+                    try:
+                        fact = cho_factor(system, overwrite_a=True)
+                    except np.linalg.LinAlgError as exc:
+                        raise NumericalError(
+                            f"Cholesky factorization failed for system of shape "
+                            f"{system.shape} (lam={lam}): {exc}"
+                        ) from exc
+                    self._factors[lam] = fact
+        return fact
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +232,20 @@ class Nuclear:
 class LeastSquares:
     """0.5*||A x - b||^2: smooth (gradient A^T(Ax-b)) and prox-capable.
 
-    The prox solves the SPD system (I + lam*A^T A) x = v + lam*A^T b.
-    A Cholesky factorization is cached per ``lam`` because the solvers
-    call the prox every iteration at fixed ``lam``; the cache is
-    lock-protected for concurrent use.
+    The prox solves the SPD system (I + lam*A^T A) x = v + lam*A^T b
+    through the smaller of two Cholesky factorizations, cached per ``lam``
+    (the solvers call the prox every iteration at fixed ``lam``):
+
+    * m >= n: factor the n x n system I + lam*A^T A directly;
+    * m < n: factor the m x m system I + lam*A A^T and apply the matrix
+      inversion lemma (Boyd et al. 2011, *Distributed Optimization and
+      Statistical Learning via ADMM*, sec. 4.2.4)
+
+          (I + lam*A^T A)^{-1} = I - lam*A^T (I + lam*A A^T)^{-1} A,
+
+      so with r = v + lam*A^T b the prox is r - lam*A^T (I + lam*A A^T)^{-1} A r.
+
+    The cached factor is min(m, n) square.
     """
 
     def __init__(self, A, b):
@@ -214,8 +256,8 @@ class LeastSquares:
                 f"inconsistent dimensions: A {self.A.shape}, b {self.b.shape}"
             )
         self.name = f"least_squares({self.A.shape[0]}x{self.A.shape[1]})"
-        self._cache: dict[float, tuple] = {}
-        self._lock = threading.Lock()
+        self._wide = self.A.shape[0] < self.A.shape[1]
+        self._factor = _CholeskyCache(self._gram)
         self._lipschitz: float | None = None
 
     def value(self, x: Element) -> float:
@@ -230,24 +272,22 @@ class LeastSquares:
             self._lipschitz = gram_spectral_norm(self.A)
         return self._lipschitz
 
-    def _factorization(self, lam: float):
-        fact = self._cache.get(lam)
-        if fact is None:
-            with self._lock:
-                fact = self._cache.get(lam)
-                if fact is None:
-                    n = self.A.shape[1]
-                    system = np.eye(n) + lam * (self.A.T @ self.A)
-                    fact = cho_factor(system)
-                    self._cache[lam] = fact
-        return fact
+    def _gram(self) -> np.ndarray:
+        gram = self.A @ self.A.T if self._wide else self.A.T @ self.A
+        # a Gram product is exactly symmetric, so its Fortran-ordered
+        # transpose is the same matrix and LAPACK factors it without a copy
+        return gram.T
 
     def prox(self, v: Element, lam: float) -> Element:
         if lam <= 0:
             raise ParameterError(f"prox parameter must be > 0, got {lam}")
         if v.shape[0] != self.A.shape[1]:
             raise ParameterError(f"v has shape {v.shape}, expected ({self.A.shape[1]},)")
-        return cho_solve(self._factorization(lam), v + lam * (self.A.T @ self.b))
+        fact = self._factor(lam)
+        rhs = v + lam * (self.A.T @ self.b)
+        if not self._wide:
+            return cho_solve(fact, rhs)
+        return rhs - lam * (self.A.T @ cho_solve(fact, self.A @ rhs))
 
 
 class Quadratic:
@@ -265,8 +305,7 @@ class Quadratic:
         if self.q.shape != (self.P.shape[0],):
             raise ParameterError(f"q has shape {self.q.shape}, expected ({self.P.shape[0]},)")
         self.name = f"quadratic(n={self.P.shape[0]})"
-        self._cache: dict[float, tuple] = {}
-        self._lock = threading.Lock()
+        self._factor = _CholeskyCache(lambda: np.array(self.P, order="F"))
         self._lipschitz: float | None = None
 
     def value(self, x: Element) -> float:
@@ -283,14 +322,7 @@ class Quadratic:
     def prox(self, v: Element, lam: float) -> Element:
         if lam <= 0:
             raise ParameterError(f"prox parameter must be > 0, got {lam}")
-        fact = self._cache.get(lam)
-        if fact is None:
-            with self._lock:
-                fact = self._cache.get(lam)
-                if fact is None:
-                    fact = cho_factor(np.eye(self.P.shape[0]) + lam * self.P)
-                    self._cache[lam] = fact
-        return cho_solve(fact, v - lam * self.q)
+        return cho_solve(self._factor(lam), v - lam * self.q)
 
 
 class HuberL1:

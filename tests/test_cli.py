@@ -81,6 +81,19 @@ def test_solve_diverged_exit_code(tmp_path, capsys):
     assert "status=diverged" in capsys.readouterr().out
 
 
+def test_solve_numerical_error_exit_code(tmp_path, monkeypatch, capsys):
+    from proxflow import prox
+
+    # a quadratic that is not positive semidefinite has no Cholesky factor
+    bad = prox.Quadratic(np.diag([-5.0, 1.0]))
+    monkeypatch.setattr(cli, "_quadratic_triple", lambda: (bad, bad, bad))
+    code = cli.main(["solve", "--method", "dr", "--damping", "none",
+                     "--lambda", "1.0", "--instance", "quad-desk",
+                     "--outdir", str(tmp_path)])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("method,damping,r", [
     ("admm", "constant", "1.0"),
     ("fb", "none", None),

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import minimize
 
 from proxflow import prox, space
-from proxflow.errors import ParameterError
+from proxflow.errors import NumericalError, ParameterError
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +138,38 @@ def test_prox_least_squares_residual_contract(rng):
 def test_prox_least_squares_dimension_mismatch(rng):
     with pytest.raises(ParameterError):
         prox.prox_least_squares(np.ones(3), 1.0, rng.standard_normal((4, 5)), np.ones(4))
+
+
+@pytest.mark.parametrize("shape", [(50, 250), (250, 50), (60, 60)],
+                         ids=["wide", "tall", "square"])
+@pytest.mark.parametrize("lam", [1e-3, 0.1, 10.0, 1e3])
+def test_least_squares_prox_matches_dense_solve(rng, shape, lam):
+    m, n = shape
+    A = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    v = rng.standard_normal(n)
+    x = prox.LeastSquares(A, b).prox(v, lam)
+    system = np.eye(n) + lam * (A.T @ A)
+    rhs = v + lam * (A.T @ b)
+    tol = 1e-10 * (1.0 + lam * np.linalg.norm(A, 2) ** 2)
+    assert space.norm(system @ x - rhs) <= tol * space.norm(rhs)
+    dense = np.linalg.solve(system, rhs)
+    assert space.norm(x - dense) <= tol * space.norm(dense)
+
+
+@pytest.mark.parametrize("shape", [(5, 8), (8, 5), (6, 6)])
+def test_least_squares_factor_is_smaller_side(rng, shape):
+    ls = prox.LeastSquares(rng.standard_normal(shape), rng.standard_normal(shape[0]))
+    ls.prox(rng.standard_normal(shape[1]), 0.5)
+    k = min(shape)
+    factor, _ = ls._factor(0.5)
+    assert factor.shape == (k, k)
+
+
+def test_quadratic_not_psd_raises_numerical_error():
+    quad = prox.Quadratic(np.diag([-5.0, 1.0]))
+    with pytest.raises(NumericalError, match=r"shape \(2, 2\).*lam=1.0"):
+        quad.prox(np.ones(2), 1.0)
 
 
 def test_least_squares_cache_concurrent_reads(rng):
