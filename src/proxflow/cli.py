@@ -11,7 +11,8 @@ matcomp      the completion suite (single weight or --anneal)
 Exit codes: 0 success/converged, 1 bad arguments, 2 not converged (or
 slope outside the expected band / partial suite failure), 3 diverged,
 fit failure, or NumericalError (a factorization or decomposition
-failed, or a reference trajectory left float range).  Output CSVs land
+failed, a reference trajectory left float range, or a lasso reference
+solution missed its tolerance).  Output CSVs land
 in --outdir (default: $PROXFLOW_OUTDIR or the working directory);
 reruns with identical flags and seeds overwrite them with identical
 content, wall-clock columns aside.
@@ -82,7 +83,7 @@ def _schedule(args):
     raise ParameterError(f"unknown damping {args.damping!r}")
 
 
-def _quadratic_triple(dim: int = 2):
+def _quadratic_triple():
     """Small strongly convex smooth triple used by order-check."""
     P_f = np.array([[0.8, 0.2], [0.2, 0.5]])
     P_g = np.array([[0.5, -0.1], [-0.1, 0.4]])

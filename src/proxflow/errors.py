@@ -14,4 +14,5 @@ class ConfigurationError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A dense factorization or decomposition failed."""
+    """A dense factorization or decomposition failed, or a reference
+    solution missed its tolerance."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import prox
 from .damping import ConstantDamping, DecayingDamping, NoDamping, Schedule
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, NumericalError, ParameterError
 from .solvers import (
     Problem,
     StepConfig,
@@ -75,7 +75,12 @@ def gen_lasso(
         raise ParameterError(f"sparsity must be in (0, 1), got {sparsity}")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
-    A /= np.linalg.norm(A, axis=0)
+    # column norms accumulated row by row, as np.linalg.norm(A, axis=0)
+    # sums them (same bits), but without its m x n temporary A*A
+    sq = np.zeros(n)
+    for row in A:
+        sq += row * row
+    A /= np.sqrt(sq)
     nnz = int(round((1.0 - sparsity) * n))
     support = rng.choice(n, size=nnz, replace=False)
     x_true = np.zeros(n)
@@ -362,7 +367,9 @@ def run_lasso_suite(cfg: LassoConfig | None = None) -> RunReport:
     """Run the configured variants on each seed's instance.
 
     Each run stops when |F_k - F*| / F* falls below ``cfg.target`` (F
-    evaluated at the solution estimate) or at the iteration cap.  The
+    evaluated at the solution estimate) or at the iteration cap.  A
+    reference solution F* that misses ``cfg.reference_tol`` raises
+    ``NumericalError`` before any variant runs on that seed.  The
     per-record error series backs iteration-count comparisons across
     variants.
     """
@@ -372,6 +379,12 @@ def run_lasso_suite(cfg: LassoConfig | None = None) -> RunReport:
         instance = gen_lasso(cfg.m, cfg.n, cfg.sparsity, cfg.noise_std, seed,
                              cfg.alpha_ratio)
         ref = reference_solution(instance, tol=cfg.reference_tol)
+        if not ref.converged:
+            raise NumericalError(
+                f"reference solution for seed {seed} did not converge: residual "
+                f"{ref.residual:.3e} after {ref.iterations} iterations, "
+                f"tolerance {cfg.reference_tol:.3e}"
+            )
         f_star = ref.value
         for variant in cfg.variants:
             family, damping = _split_variant(variant, LASSO_FAMILIES)

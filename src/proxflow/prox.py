@@ -10,7 +10,10 @@ and a smooth term exposes ``value(x)``, ``grad(x)`` and (when cheap) a
 both sides and can sit in any slot of a three-term split.  Oracles are
 immutable after construction except for internal factorization caches,
 which are lock-protected so any number of threads may evaluate the same
-oracle concurrently.
+oracle concurrently.  A factor cache holds only the matrix it factors,
+never its oracle, so an oracle and its factors are freed by reference
+counting as soon as its last reference goes, without waiting for the
+cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -125,6 +128,10 @@ class _CholeskyCache:
     as ``np.eye(n) + lam*M`` without the identity temporary.  Solvers
     call a prox every iteration at fixed ``lam``, so each factor is built
     once; the build is lock-protected so concurrent callers share it.
+
+    ``matrix`` must close over M alone: a builder that reaches the owning
+    oracle (a bound method, a lambda over ``self``) makes a reference
+    cycle that keeps M alive until the cyclic garbage collector runs.
     """
 
     def __init__(self, matrix):
@@ -150,6 +157,18 @@ class _CholeskyCache:
                         ) from exc
                     self._factors[lam] = fact
         return fact
+
+
+def _gram_builder(A: np.ndarray, wide: bool):
+    """Builder of A A^T (``wide``) or A^T A for a ``_CholeskyCache``."""
+
+    def build() -> np.ndarray:
+        gram = A @ A.T if wide else A.T @ A
+        # a Gram product is exactly symmetric, so its Fortran-ordered
+        # transpose is the same matrix and LAPACK factors it without a copy
+        return gram.T
+
+    return build
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +276,8 @@ class LeastSquares:
             )
         self.name = f"least_squares({self.A.shape[0]}x{self.A.shape[1]})"
         self._wide = self.A.shape[0] < self.A.shape[1]
-        self._factor = _CholeskyCache(self._gram)
+        self._Atb = self.A.T @ self.b
+        self._factor = _CholeskyCache(_gram_builder(self.A, self._wide))
         self._lipschitz: float | None = None
 
     def value(self, x: Element) -> float:
@@ -272,19 +292,13 @@ class LeastSquares:
             self._lipschitz = gram_spectral_norm(self.A)
         return self._lipschitz
 
-    def _gram(self) -> np.ndarray:
-        gram = self.A @ self.A.T if self._wide else self.A.T @ self.A
-        # a Gram product is exactly symmetric, so its Fortran-ordered
-        # transpose is the same matrix and LAPACK factors it without a copy
-        return gram.T
-
     def prox(self, v: Element, lam: float) -> Element:
         if lam <= 0:
             raise ParameterError(f"prox parameter must be > 0, got {lam}")
         if v.shape[0] != self.A.shape[1]:
             raise ParameterError(f"v has shape {v.shape}, expected ({self.A.shape[1]},)")
         fact = self._factor(lam)
-        rhs = v + lam * (self.A.T @ self.b)
+        rhs = v + lam * self._Atb
         if not self._wide:
             return cho_solve(fact, rhs)
         return rhs - lam * (self.A.T @ cho_solve(fact, self.A @ rhs))
@@ -305,7 +319,8 @@ class Quadratic:
         if self.q.shape != (self.P.shape[0],):
             raise ParameterError(f"q has shape {self.q.shape}, expected ({self.P.shape[0]},)")
         self.name = f"quadratic(n={self.P.shape[0]})"
-        self._factor = _CholeskyCache(lambda: np.array(self.P, order="F"))
+        P = self.P
+        self._factor = _CholeskyCache(lambda: np.array(P, order="F"))
         self._lipschitz: float | None = None
 
     def value(self, x: Element) -> float:

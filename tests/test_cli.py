@@ -94,6 +94,27 @@ def test_solve_numerical_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_lasso_unconverged_reference_raises_and_exits_3(tmp_path, monkeypatch, capsys):
+    from proxflow import experiments
+    from proxflow.errors import NumericalError
+
+    def unconverged(instance, tol=1e-10, max_iters=10**6):
+        return experiments.ReferenceSolution(
+            x=np.zeros(instance.A.shape[1]), value=1.0, residual=3e-7,
+            iterations=17, converged=False)
+
+    monkeypatch.setattr(experiments, "reference_solution", unconverged)
+    message = (r"reference solution for seed 4 did not converge: residual 3\.000e-07 "
+               r"after 17 iterations, tolerance 1\.000e-12")
+    with pytest.raises(NumericalError, match=message):
+        experiments.run_lasso_suite(experiments.LassoConfig(seeds=(4,)))
+    code = cli.main(["lasso", "--seeds", "4", "--variants", "fb",
+                     "--outdir", str(tmp_path)])
+    assert code == 3
+    assert "reference solution for seed 4 did not converge" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("method,damping,r", [
     ("admm", "constant", "1.0"),
     ("fb", "none", None),

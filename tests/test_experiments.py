@@ -51,6 +51,17 @@ def test_gen_lasso_deterministic():
     assert a.alpha == b.alpha
 
 
+@pytest.mark.parametrize("m,n,seed", [(50, 250, 1), (50, 250, 3), (50, 250, 4),
+                                      (500, 2500, 0)])
+def test_gen_lasso_design_matches_norm_division(m, n, seed):
+    # the row-by-row column norms give np.linalg.norm's bits, so instances
+    # (and every iteration count and error built on them) stay as they were
+    A0 = np.random.default_rng(seed).standard_normal((m, n))
+    A = gen_lasso(m, n, seed=seed).A
+    assert np.array_equal(A, A0 / np.linalg.norm(A0, axis=0))
+    np.testing.assert_allclose(np.linalg.norm(A, axis=0), 1.0, atol=1e-12)
+
+
 def test_gen_lasso_validates_sparsity():
     with pytest.raises(ParameterError):
         gen_lasso(10, 20, sparsity=1.0)

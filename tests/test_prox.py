@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from conftest import make_spd
 from proxflow import prox, space
 from proxflow.errors import NumericalError, ParameterError
 
@@ -181,6 +185,36 @@ def test_least_squares_cache_concurrent_reads(rng):
         outs = list(ex.map(lambda _: ls.prox(v, 0.25), range(32)))
     for out in outs[1:]:
         np.testing.assert_array_equal(out, outs[0])
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Run a test with only reference counting freeing objects."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("shape", [(20, 60), (60, 20)], ids=["wide", "tall"])
+def test_least_squares_freed_by_refcount(no_cyclic_gc, rng, shape):
+    ls = prox.LeastSquares(rng.standard_normal(shape), rng.standard_normal(shape[0]))
+    ls.prox(rng.standard_normal(shape[1]), 0.5)
+    oracle, design, factor = (weakref.ref(ls), weakref.ref(ls.A),
+                              weakref.ref(ls._factor(0.5)[0]))
+    del ls
+    assert oracle() is None and design() is None and factor() is None
+
+
+def test_quadratic_freed_by_refcount(no_cyclic_gc, rng):
+    quad = prox.Quadratic(make_spd(4, rng))
+    quad.prox(rng.standard_normal(4), 0.5)
+    oracle, matrix, factor = (weakref.ref(quad), weakref.ref(quad.P),
+                              weakref.ref(quad._factor(0.5)[0]))
+    del quad
+    assert oracle() is None and matrix() is None and factor() is None
 
 
 # ---------------------------------------------------------------------------
