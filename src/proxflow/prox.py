@@ -98,22 +98,17 @@ def grad_check(w, x: Element, step: float = 1e-6) -> float:
     return float(np.max(np.abs(g - fd) / (1.0 + np.abs(g))))
 
 
-def gram_spectral_norm(A: Element, tol: float = 1e-12, max_iters: int = 5000) -> float:
-    """Largest eigenvalue of ``A^T A`` by power iteration (deterministic start)."""
-    n = A.shape[1]
-    z = np.ones(n) / np.sqrt(n)
-    val = 0.0
-    for _ in range(max_iters):
-        z = A.T @ (A @ z)
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            return 0.0
-        z /= nz
-        new_val = float(z @ (A.T @ (A @ z)))
-        if abs(new_val - val) <= tol * max(1.0, new_val):
-            return new_val
-        val = new_val
-    return val
+def gram_spectral_norm(A: Element) -> float:
+    """Largest eigenvalue of ``A^T A``, i.e. the squared spectral norm of A.
+
+    Computed by a symmetric eigensolver on the smaller Gram matrix:
+    ``A A^T`` (m x m) when m < n, which has the same nonzero eigenvalues
+    as ``A^T A``, and ``A^T A`` otherwise (the same choice the
+    least-squares prox makes).  Exact to rounding, and 0 for a zero
+    matrix.
+    """
+    gram = A @ A.T if A.shape[0] < A.shape[1] else A.T @ A
+    return float(np.linalg.eigvalsh(gram)[-1])
 
 
 # ---------------------------------------------------------------------------

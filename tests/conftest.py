@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from proxflow import prox
 from proxflow.solvers import Problem
+
+# property tests draw the same examples on every run and leave no example
+# database behind; numerical examples may take longer than hypothesis's
+# default per-example deadline
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

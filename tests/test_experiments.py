@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from proxflow import experiments, prox, space
 from proxflow.errors import ParameterError
@@ -121,6 +123,56 @@ def test_reference_solution_reports_best_on_cap():
     assert not ref.converged
     assert ref.iterations == 50
     assert math.isfinite(ref.residual)
+
+
+def kkt_violation(inst: LassoInstance, x) -> float:
+    """Largest violation of the lasso optimality conditions at ``x``:
+    g_i = -alpha*sign(x_i) on the support and |g_i| <= alpha off it,
+    where g = A^T(Ax - b)."""
+    g = inst.A.T @ (inst.A @ x - inst.b)
+    on = x != 0
+    return max(float(np.max(np.abs(g[on] + inst.alpha * np.sign(x[on])), initial=0.0)),
+               float(np.max(np.abs(g[~on]) - inst.alpha, initial=0.0)))
+
+
+def test_reference_solution_desk_seeds_polished():
+    # forward-backward alone needs 3,660 + 1,819 + 4,557 = 10,036 iterations
+    # on these instances; the support polish ends it once the signs settle
+    instances = [gen_lasso(50, 250, seed=s) for s in (1, 3, 4)]
+    refs = [reference_solution(inst, tol=1e-12) for inst in instances]
+    assert sum(ref.iterations for ref in refs) <= 5000
+    for inst, ref in zip(instances, refs):
+        assert ref.converged and ref.residual <= 1e-12
+        assert kkt_violation(inst, ref.x) <= 1e-10 * inst.alpha
+
+
+@st.composite
+def small_lasso_instances(draw):
+    m = draw(st.integers(5, 30))
+    n = draw(st.integers(m, 4 * m))
+    seed = draw(st.integers(0, 2**32 - 1))
+    alpha_ratio = draw(st.floats(0.01, 1.2))
+    return gen_lasso(m, n, seed=seed, alpha_ratio=alpha_ratio)
+
+
+@given(small_lasso_instances())
+def test_reference_solution_is_optimal_property(inst):
+    ref = reference_solution(inst, tol=1e-12)
+    assert ref.converged
+    assert kkt_violation(inst, ref.x) <= 1e-9 * inst.alpha
+    # an independent plain forward-backward loop at step 1/L never ends
+    # below the reference objective
+    lam = 1.0 / prox.gram_spectral_norm(inst.A)
+    x = np.zeros(inst.A.shape[1])
+    for _ in range(200_000):
+        x_new = prox.soft_threshold(x - lam * (inst.A.T @ (inst.A @ x - inst.b)),
+                                    lam * inst.alpha)
+        done = space.norm(x - x_new) <= 1e-13
+        x = x_new
+        if done:
+            break
+    fb_value = inst.objective(x)
+    assert ref.value <= fb_value + 1e-12 * abs(fb_value)
 
 
 # ---------------------------------------------------------------------------

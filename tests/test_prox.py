@@ -170,6 +170,20 @@ def test_least_squares_factor_is_smaller_side(rng, shape):
     assert factor.shape == (k, k)
 
 
+@pytest.mark.parametrize("shape", [(50, 250), (250, 50), (60, 60)],
+                         ids=["wide", "tall", "square"])
+def test_gram_spectral_norm_is_exact(rng, shape):
+    A = rng.standard_normal(shape)
+    expected = np.linalg.norm(A, 2) ** 2
+    L = prox.gram_spectral_norm(A)
+    assert abs(L - expected) <= 1e-12 * expected
+    assert prox.LeastSquares(A, np.zeros(shape[0])).lipschitz() == L
+
+
+def test_gram_spectral_norm_zero_matrix():
+    assert prox.gram_spectral_norm(np.zeros((4, 7))) == 0.0
+
+
 def test_quadratic_not_psd_raises_numerical_error():
     quad = prox.Quadratic(np.diag([-5.0, 1.0]))
     with pytest.raises(NumericalError, match=r"shape \(2, 2\).*lam=1.0"):
