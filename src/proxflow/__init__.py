@@ -30,17 +30,14 @@ from .solvers import (
     Trace,
     dy_fixed_point_operator,
     initial_state,
-    residual,
     run,
     step_admm,
     step_davis_yin,
     step_tseng,
     stop_on_estimate_change,
-    stop_on_relative_change,
     stop_on_residual,
-    tseng_fixed_point_operator,
 )
-from .space import combine, inner, norm
+from .space import inner, norm
 
 __version__ = "0.1.0"
 
@@ -49,10 +46,10 @@ __all__ = [
     "gamma", "extrapolate",
     "ConfigurationError", "NumericalError", "ParameterError", "ShapeMismatchError",
     "Problem", "SolverState", "StepConfig", "Trace",
-    "initial_state", "run", "residual",
+    "initial_state", "run",
     "step_admm", "step_davis_yin", "step_tseng",
-    "dy_fixed_point_operator", "tseng_fixed_point_operator",
-    "stop_on_residual", "stop_on_relative_change", "stop_on_estimate_change",
-    "combine", "inner", "norm",
+    "dy_fixed_point_operator",
+    "stop_on_residual", "stop_on_estimate_change",
+    "inner", "norm",
     "__version__",
 ]

@@ -9,7 +9,7 @@ lasso        the twelve-variant regression suite; per-run + aggregate CSVs
 matcomp      the completion suite (single weight or --anneal)
 
 Exit codes: 0 success/converged, 1 bad arguments, 2 not converged (or
-slope outside the expected band / partial suite failure), 3 diverged,
+slope or rate fit outside its band / partial suite failure), 3 diverged,
 fit failure, or NumericalError (a factorization or decomposition
 failed, a reference trajectory left float range, or a lasso reference
 solution missed its tolerance).  Output CSVs land
@@ -28,17 +28,19 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import csvio, experiments, odelab, prox
-from .damping import CombinedDamping, ConstantDamping, DecayingDamping, NoDamping
+from .damping import schedule_for
 from .errors import NumericalError, ParameterError
-from .odelab import AcceleratedFlow, GradientFlow
 from .solvers import (
+    METHODS,
     Problem,
     StepConfig,
+    method_spec,
     run,
     stop_on_estimate_change,
     stop_on_residual,
@@ -67,22 +69,6 @@ def _outdir(args) -> Path:
     return Path(os.environ.get("PROXFLOW_OUTDIR", "."))
 
 
-def _schedule(args):
-    if args.damping == "none":
-        return NoDamping()
-    if args.damping == "decaying":
-        return DecayingDamping(args.r if args.r is not None else 3.0)
-    if args.damping == "constant":
-        if args.r is None:
-            raise ParameterError("--damping constant requires --r")
-        return ConstantDamping(args.r)
-    if args.damping == "combined":
-        if args.r1 is None or args.r2 is None:
-            raise ParameterError("--damping combined requires --r1 and --r2")
-        return CombinedDamping(args.r1, args.r2)
-    raise ParameterError(f"unknown damping {args.damping!r}")
-
-
 def _quadratic_triple():
     """Small strongly convex smooth triple used by order-check."""
     P_f = np.array([[0.8, 0.2], [0.2, 0.5]])
@@ -101,14 +87,11 @@ def _solve_instance(args):
     if args.instance in ("lasso-desk", "lasso-full"):
         m, n = (50, 250) if args.instance == "lasso-desk" else (500, 2500)
         inst = experiments.gen_lasso(m, n, seed=args.seed)
-        family = "dr" if method == "dy" else method
-        problem = experiments.lasso_problem(inst, family)
+        problem = experiments.lasso_problem(inst, method)
         stop = stop_on_residual(args.tol)
         x0 = np.zeros(n)
         return problem, x0, stop
     if args.instance in ("matcomp-desk", "matcomp-full"):
-        if method not in ("admm", "dy"):
-            raise ParameterError(f"instance {args.instance} supports methods admm/dy")
         if args.instance == "matcomp-desk":
             inst = experiments.gen_matcomp(40, 40, rank=3, s=0.5, seed=args.seed)
         else:
@@ -125,17 +108,16 @@ def _solve_instance(args):
 
 
 def _quad_problem_for(method: str) -> Problem:
+    """The quadratic triple, less the terms ``method`` needs absent."""
     f, g, w = _quadratic_triple()
-    if method in ("fb", "tseng"):
-        return Problem(f=None, g=g, w=w)
-    if method == "dr":
-        return Problem(f=f, g=g, w=None)
-    return Problem(f=f, g=g, w=w)
+    _, _, absent = method_spec(method)
+    return Problem(f=None if "f" in absent else f, g=g, w=None if "w" in absent else w)
 
 
 def cmd_solve(args) -> int:
     problem, x0, stop = _solve_instance(args)
-    cfg = StepConfig(lam=args.lam, schedule=_schedule(args))
+    schedule = schedule_for(args.damping, args.r, args.r1, args.r2)
+    cfg = StepConfig(lam=args.lam, schedule=schedule)
     state, trace = run(args.method, problem, cfg, x0,
                        stop=stop, max_iters=args.max_iters)
     out = _outdir(args) / (
@@ -151,9 +133,7 @@ def cmd_solve(args) -> int:
 
 def cmd_order_check(args) -> int:
     problem = _quad_problem_for(args.method)
-    schedule = _schedule(args)
-    if isinstance(schedule, NoDamping):
-        schedule = None
+    schedule = schedule_for(args.damping, args.r, args.r1, args.r2)
     hs = np.logspace(math.log10(args.h_min), math.log10(args.h_max), args.points)
     try:
         fit = odelab.local_error_order(args.method, problem, schedule, hs,
@@ -171,64 +151,38 @@ def cmd_order_check(args) -> int:
 
 def cmd_rates(args) -> int:
     rows = []
-
-    # strongly convex descent flow: distance decays like exp(-m t)
-    m = 1.0
-    quad = prox.Quadratic(np.diag([m, 4.0]))
-    fit = odelab.continuous_rate_check(
-        GradientFlow(quad), quad, x_star=np.zeros(2), F_star=0.0, T=8.0,
-        x0=np.array([1.0, 1.0]), steps=4000, kind="exponential",
-    )
-    rows.append(("gradient-flow-strongly-convex", m, fit.exponent, fit.r_squared))
-
-    # convex (degenerate) objective under decaying damping: F - F* ~ t^-2
-    quartic = prox.FunctionOracle(
-        value=lambda x: 0.25 * float(np.sum(x**4)),
-        grad=lambda x: x**3,
-        name="quartic",
-    )
-    fit = odelab.continuous_rate_check(
-        AcceleratedFlow(quartic, DecayingDamping(3.0)), quartic,
-        x_star=np.zeros(1), F_star=0.0, T=300.0,
-        x0=np.array([1.5]), v0=np.zeros(1), t0=1.0, steps=120_000,
-        kind="power", window=(0.03, 1.0),
-    )
-    rows.append(("accelerated-decaying-convex", -2.0, fit.exponent, fit.r_squared))
-
-    # strongly convex under critical constant damping: distance ~ exp(-sqrt(m) t)
-    m = 4.0
-    quad1 = prox.Quadratic(np.array([[m]]))
-    fit = odelab.continuous_rate_check(
-        AcceleratedFlow(quad1, ConstantDamping(2.0 * math.sqrt(m))), quad1,
-        x_star=np.zeros(1), F_star=0.0, T=10.0,
-        x0=np.array([1.0]), v0=np.zeros(1), steps=8000, kind="exponential",
-    )
-    rows.append(("accelerated-constant-strongly-convex", math.sqrt(m),
-                 fit.exponent, fit.r_squared))
-
+    out_of_band = False
+    for name, case in odelab.rate_cases().items():
+        fit = odelab.run_rate_case(name)
+        rows.append((name, case.predicted, fit.exponent, fit.r_squared))
+        out_of_band |= not case.in_band(fit.exponent)
     out = _outdir(args) / "rates.csv"
     csvio.write_rates_csv(rows, out)
-    for case, predicted, fitted, r2 in rows:
-        print(f"{case}: predicted={predicted:+.3f} fitted={fitted:+.4f} r2={r2:.5f}")
+    for name, predicted, fitted, r2 in rows:
+        print(f"{name}: predicted={predicted:+.3f} fitted={fitted:+.4f} r2={r2:.5f}")
     print(f"rate fits written to {out}")
-    return EXIT_OK
+    return EXIT_NOT_CONVERGED if out_of_band else EXIT_OK
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     return tuple(int(s) for s in text.split(",") if s.strip() != "")
 
 
-def cmd_lasso(args) -> int:
-    cfg = experiments.LassoConfig()
+def _suite_config(cfg, paper_scale, args):
+    """A suite's configuration with --paper-scale and explicit overrides."""
     if args.paper_scale:
-        cfg = experiments.paper_scale_lasso(cfg)
-    from dataclasses import replace
+        cfg = paper_scale(cfg)
     if args.seeds is not None:
         cfg = replace(cfg, seeds=_parse_seeds(args.seeds))
     if args.variants is not None:
         cfg = replace(cfg, variants=tuple(args.variants.split(",")))
     if args.max_iters is not None:
         cfg = replace(cfg, max_iters=args.max_iters)
+    return cfg
+
+
+def cmd_lasso(args) -> int:
+    cfg = _suite_config(experiments.LassoConfig(), experiments.paper_scale_lasso, args)
     report = experiments.run_lasso_suite(cfg)
     outdir = _outdir(args)
     for rec in report.records:
@@ -243,16 +197,7 @@ def cmd_lasso(args) -> int:
 
 
 def cmd_matcomp(args) -> int:
-    cfg = experiments.MatCompConfig()
-    if args.paper_scale:
-        cfg = experiments.paper_scale_matcomp(cfg)
-    from dataclasses import replace
-    if args.seeds is not None:
-        cfg = replace(cfg, seeds=_parse_seeds(args.seeds))
-    if args.variants is not None:
-        cfg = replace(cfg, variants=tuple(args.variants.split(",")))
-    if args.max_iters is not None:
-        cfg = replace(cfg, max_iters=args.max_iters)
+    cfg = _suite_config(experiments.MatCompConfig(), experiments.paper_scale_matcomp, args)
     mode = "anneal" if args.anneal else "single"
     report = experiments.run_matcomp_suite(cfg, mode=mode)
     outdir = _outdir(args)
@@ -330,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r2", type=float, default=None)
 
     p = sub.add_parser("solve", help="run one method on a built-in instance")
-    p.add_argument("--method", required=True,
-                   choices=("admm", "dy", "dr", "fb", "tseng"))
+    p.add_argument("--method", required=True, choices=tuple(METHODS))
     add_damping(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--instance", required=True,
@@ -344,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("order-check", help="one-step error order of a method")
-    p.add_argument("--method", required=True, choices=("admm", "dy", "dr", "fb", "tseng"))
+    p.add_argument("--method", required=True, choices=tuple(METHODS))
     add_damping(p)
     p.add_argument("--h-min", type=float, default=1e-3)
     p.add_argument("--h-max", type=float, default=1e-1)

@@ -12,7 +12,9 @@ second-order flow:
 * combined damping eta(t) = r1/t + r2  ->  gamma_k = k/(k+r1) - r2*h
 
 In each case gamma_k = 1 - eta(t_k)*h + O(h^2) with t_k = k*h, which is
-what makes the accelerated steps consistent discretizations.  Negative
+what makes the accelerated steps consistent discretizations.  Every
+schedule reports both: ``gamma(k, h)`` for the solvers and ``eta(t)`` for
+the flows, with ``accelerated`` false only for :class:`NoDamping`.  Negative
 momentum (r*h > 1 for constant damping, and the analogous combined-case
 overshoot) is clamped to zero with a warning.
 """
@@ -31,7 +33,12 @@ from .space import Element, check_same_shape
 class NoDamping:
     """No acceleration: gamma_k = 0 for all k."""
 
+    accelerated = False
+
     def gamma(self, k: int, h: float) -> float:
+        return 0.0
+
+    def eta(self, t: float) -> float:
         return 0.0
 
 
@@ -39,6 +46,7 @@ class NoDamping:
 class DecayingDamping:
     """Damping r/t decaying in time; requires r >= 3."""
 
+    accelerated = True
     r: float = 3.0
 
     def __post_init__(self):
@@ -48,11 +56,15 @@ class DecayingDamping:
     def gamma(self, k: int, h: float) -> float:
         return k / (k + self.r)
 
+    def eta(self, t: float) -> float:
+        return self.r / _positive_time(t)
+
 
 @dataclass(frozen=True)
 class ConstantDamping:
     """Constant damping r > 0 (heavy-ball style momentum)."""
 
+    accelerated = True
     r: float
 
     def __post_init__(self):
@@ -70,11 +82,15 @@ class ConstantDamping:
             return 0.0
         return g
 
+    def eta(self, t: float) -> float:
+        return self.r
+
 
 @dataclass(frozen=True)
 class CombinedDamping:
     """Damping r1/t + r2 mixing the decaying and constant regimes."""
 
+    accelerated = True
     r1: float
     r2: float
 
@@ -88,8 +104,36 @@ class CombinedDamping:
         # Same negative-momentum clamp as the constant schedule (bites at small k).
         return max(k / (k + self.r1) - self.r2 * h, 0.0)
 
+    def eta(self, t: float) -> float:
+        return self.r1 / _positive_time(t) + self.r2
+
+
+def _positive_time(t: float) -> float:
+    if t <= 0:
+        raise ParameterError(f"damping r/t is singular at t = {t}; need t > 0")
+    return t
+
 
 Schedule = Union[NoDamping, DecayingDamping, ConstantDamping, CombinedDamping]
+
+
+def schedule_for(name: str, r: float | None = None, r1: float | None = None,
+                 r2: float | None = None) -> Schedule:
+    """The schedule a damping name selects: "none", "decaying" (r, default
+    3), "constant" (r) or "combined" (r1 and r2)."""
+    if name == "none":
+        return NoDamping()
+    if name == "decaying":
+        return DecayingDamping(3.0 if r is None else r)
+    if name == "constant":
+        if r is None:
+            raise ParameterError("constant damping requires r")
+        return ConstantDamping(r)
+    if name == "combined":
+        if r1 is None or r2 is None:
+            raise ParameterError("combined damping requires r1 and r2")
+        return CombinedDamping(r1, r2)
+    raise ParameterError(f"unknown damping {name!r}")
 
 
 def gamma(schedule: Schedule | None, k: int, h: float) -> float:

@@ -24,11 +24,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import prox
-from .damping import ConstantDamping, DecayingDamping, NoDamping, Schedule
+from .damping import schedule_for
 from .errors import ConfigurationError, NumericalError, ParameterError
 from .solvers import (
     Problem,
     StepConfig,
+    method_spec,
     run,
     stop_on_estimate_change,
 )
@@ -356,16 +357,6 @@ def _variant_name(family: str, damping: str) -> str:
     return family if damping == "none" else f"{family}-{damping}"
 
 
-def _schedule_for(damping: str, r_decaying: float, r_constant: float) -> Schedule:
-    if damping == "none":
-        return NoDamping()
-    if damping == "decaying":
-        return DecayingDamping(r_decaying)
-    if damping == "constant":
-        return ConstantDamping(r_constant)
-    raise ConfigurationError(f"unknown damping {damping!r}")
-
-
 def _split_variant(variant: str, families) -> tuple[str, str]:
     parts = variant.split("-")
     family, damping = parts[0], parts[1] if len(parts) > 1 else "none"
@@ -410,15 +401,14 @@ def paper_scale_lasso(cfg: LassoConfig | None = None) -> LassoConfig:
 
 
 def lasso_problem(instance: LassoInstance, family: str) -> Problem:
-    """The split each family uses: backward-backward families put the
-    quadratic behind its prox, forward families expose its gradient."""
+    """The split a method uses: the quadratic sits behind its prox as f,
+    unless the method needs f absent; then it exposes its gradient as w."""
+    _, _, absent = method_spec(family)
     quad = prox.LeastSquares(instance.A, instance.b)
     l1 = prox.L1(instance.alpha)
-    if family in ("admm", "dr"):
-        return Problem(f=quad, g=l1, w=None)
-    if family in ("fb", "tseng"):
+    if "f" in absent:
         return Problem(f=None, g=l1, w=quad)
-    raise ConfigurationError(f"unknown family {family!r}")
+    return Problem(f=quad, g=l1, w=None)
 
 
 def run_lasso_suite(cfg: LassoConfig | None = None) -> RunReport:
@@ -447,8 +437,8 @@ def run_lasso_suite(cfg: LassoConfig | None = None) -> RunReport:
         for variant in cfg.variants:
             family, damping = _split_variant(variant, LASSO_FAMILIES)
             problem = lasso_problem(instance, family)
-            schedule = _schedule_for(damping, cfg.r_decaying, cfg.r_constant)
-            step_cfg = StepConfig(lam=cfg.lam, schedule=schedule)
+            r = cfg.r_decaying if damping == "decaying" else cfg.r_constant
+            step_cfg = StepConfig(lam=cfg.lam, schedule=schedule_for(damping, r))
 
             # F is evaluated once per iteration, in the callback, which runs
             # before the divergence check and the stop rule
@@ -520,8 +510,9 @@ def run_matcomp_suite(cfg: MatCompConfig | None = None, mode: str = "single") ->
     iteration.  Annealing mode chains runs over the geometric weight
     schedule, warm-starting each stage from the previous solution, and
     reports summed iterations plus a per-stage log.  The reported rank
-    is that of the final nuclear-prox output (singular values above
-    1e-6 of the largest).
+    (singular values above 1e-6 of the largest) is that of ADMM's last
+    nuclear-prox output, and of the nuclear prox of the three-operator
+    step's final iterate.
     """
     cfg = cfg or MatCompConfig()
     if mode not in ("single", "anneal"):
@@ -537,8 +528,8 @@ def run_matcomp_suite(cfg: MatCompConfig | None = None, mode: str = "single") ->
                                      cfg.alpha_bar)
         for variant in cfg.variants:
             family, damping = _split_variant(variant, MATCOMP_FAMILIES)
-            schedule = _schedule_for(damping, cfg.r_decaying, r_constant)
-            step_cfg = StepConfig(lam=cfg.lam, schedule=schedule)
+            r = cfg.r_decaying if damping == "decaying" else r_constant
+            step_cfg = StepConfig(lam=cfg.lam, schedule=schedule_for(damping, r))
             records.append(_matcomp_run(instance, family, variant, seed, alphas,
                                         step_cfg, cfg))
     return RunReport(records)
@@ -567,7 +558,13 @@ def _matcomp_run(instance, family, variant, seed, alphas, step_cfg, cfg) -> RunR
                                final_error=errors[-1]))
         x0 = state.estimate     # warm start for the next weight
         final_state = state
-    low_rank = problem.f.prox(final_state.x, step_cfg.lam)
+    # ADMM keeps its last nuclear-prox output as x_{k+1/2}; the
+    # three-operator step keeps no x_{k+1/4}, so DY reports the nuclear
+    # prox of its final iterate
+    if family == "admm":
+        low_rank = final_state.last_half
+    else:
+        low_rank = problem.f.prox(final_state.x, step_cfg.lam)
     return RunRecord(
         variant=variant, seed=seed, iterations=total_iters, status=status,
         errors=np.asarray(errors), final_error=errors[-1],

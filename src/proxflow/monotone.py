@@ -6,20 +6,20 @@ resolvent J_{lam*A} = (I + lam*A)^{-1}, exposed with the same
 of a maximal monotone operator is single-valued, so this representation
 loses nothing, and it is the only access any splitting step needs).
 
-``yosida_apply`` evaluates the regularization
+The mu-regularization (Yosida approximation) of A,
 
     A_mu = (I - J_{mu*A}) / mu,
 
-which is single-valued, (1/mu)-Lipschitz, and has the same zeros as A.
-Its resolvent has the closed form
+is single-valued, (1/mu)-Lipschitz, and has the same zeros as A.  Its
+resolvent has the closed form
 
     J_{lam*A_mu} = (mu*I + lam*J_{(mu+lam)*A}) / (mu + lam),
 
 implemented by :func:`resolvent_of_yosida`; mu = 0 is admitted as an
-exact input and returns J_{lam*A} itself.  ``step_dy_regularized`` runs
-the three-operator step against the regularized operators, and at mu = 0
-it reproduces :func:`proxflow.solvers.step_davis_yin` bit for bit when
-the resolvents come from gradients.
+exact input and returns J_{lam*A} itself.  ``step_dy_regularized`` is
+:func:`proxflow.solvers.step_davis_yin` on a problem whose two resolvent
+terms are these regularized resolvents, so at mu = 0 it is the
+three-operator step itself, bit for bit.
 
 The smooth-case second-order accuracy of one step does not carry over to
 genuinely set-valued terms: only an o(lam) one-step agreement with the
@@ -29,20 +29,10 @@ the lab are made for smooth instances only.
 
 from __future__ import annotations
 
-import math
-
-from . import damping
 from .damping import Schedule
 from .errors import ParameterError
-from .solvers import SolverState
+from .solvers import Problem, SolverState, StepConfig, step_davis_yin
 from .space import Element
-
-
-def yosida_apply(A, mu: float, x: Element) -> Element:
-    """Evaluate (x - J_{mu*A}(x)) / mu; zero exactly where A has a zero."""
-    if mu <= 0:
-        raise ParameterError(f"yosida parameter must be > 0, got {mu}")
-    return (x - A.prox(x, mu)) / mu
 
 
 def resolvent_of_yosida(A, lam: float, mu: float, x: Element) -> Element:
@@ -56,6 +46,17 @@ def resolvent_of_yosida(A, lam: float, mu: float, x: Element) -> Element:
     if mu == 0.0:
         return A.prox(x, lam)
     return (mu * x + lam * A.prox(x, mu + lam)) / (mu + lam)
+
+
+class _YosidaResolvent:
+    """Prox oracle of the mu-regularization of A (None: the zero operator)."""
+
+    def __init__(self, A, mu: float):
+        self.A = A
+        self.mu = mu
+
+    def prox(self, v: Element, lam: float) -> Element:
+        return resolvent_of_yosida(self.A, lam, self.mu, v)
 
 
 def step_dy_regularized(
@@ -75,18 +76,5 @@ def step_dy_regularized(
     xhat_{k+1} = x_{k+1} + gamma_{k+1}*(x_{k+1} - x_k) convention as the
     smooth solvers, with step scale h = sqrt(lam).
     """
-    if lam <= 0:
-        raise ParameterError(f"lam must be > 0, got {lam}")
-    xh = state.x_hat
-    x_q = resolvent_of_yosida(A, lam, mu, xh)
-    x_half = 2.0 * x_q - xh
-    forward = x_half if C is None else x_half - lam * C.grad(x_q)
-    x_tq = resolvent_of_yosida(B, lam, mu, forward)
-    x_next = xh + x_tq - x_q
-    k1 = state.k + 1
-    g = damping.gamma(schedule, k1, math.sqrt(lam))
-    x_hat1 = damping.extrapolate(x_next, state.x, g)
-    return SolverState(
-        x=x_next, x_prev=state.x, x_hat=x_hat1, c=state.c, k=k1,
-        last_half=x_half, estimate=x_tq,
-    )
+    problem = Problem(f=_YosidaResolvent(A, mu), g=_YosidaResolvent(B, mu), w=C)
+    return step_davis_yin(state, problem, StepConfig(lam=lam, schedule=schedule))

@@ -31,55 +31,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import damping as damping_mod
-from .damping import (
-    CombinedDamping,
-    ConstantDamping,
-    DecayingDamping,
-    NoDamping,
-    Schedule,
-)
+from . import prox
+from .damping import ConstantDamping, DecayingDamping, Schedule
 from .errors import NumericalError, ParameterError
-from .solvers import Problem, SolverState, StepConfig, _STEPS, check_method
+from .solvers import METHODS, Problem, SolverState, StepConfig, check_method
 from .space import Element, as_element, norm
-
-
-def damping_coefficient(schedule: Schedule | None, t: float) -> float:
-    """The continuous damping eta(t) that a schedule discretizes."""
-    if schedule is None or isinstance(schedule, NoDamping):
-        return 0.0
-    if isinstance(schedule, DecayingDamping):
-        return schedule.r / t
-    if isinstance(schedule, ConstantDamping):
-        return schedule.r
-    if isinstance(schedule, CombinedDamping):
-        return schedule.r1 / t + schedule.r2
-    raise ParameterError(f"unknown schedule {schedule!r}")
 
 
 @dataclass(frozen=True)
 class GradientFlow:
     """Descent flow xdot = -grad F(x) for a smooth oracle."""
 
+    second_order = False
     grad: object
-
-    @property
-    def second_order(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
 class AcceleratedFlow:
     """Damped inertial flow xddot + eta(t)*xdot = -grad F(x)."""
 
+    second_order = True
     grad: object
     schedule: Schedule
 
-    @property
-    def second_order(self) -> bool:
-        return True
-
     def eta(self, t: float) -> float:
-        return damping_coefficient(self.schedule, t)
+        return self.schedule.eta(t)
 
 
 @dataclass(eq=False)
@@ -87,9 +63,6 @@ class Trajectory:
     ts: np.ndarray
     xs: np.ndarray                 # (steps+1,) + shape of x0
     vs: np.ndarray | None = None   # velocities, second-order flows only
-
-    def at(self, i: int) -> Element:
-        return self.xs[i]
 
 
 def reference_trajectory(
@@ -118,8 +91,7 @@ def reference_trajectory(
     if flow.second_order:
         if v0 is None:
             raise ParameterError("second-order flow needs an initial velocity v0")
-        if isinstance(flow.schedule, (DecayingDamping, CombinedDamping)) and t0 <= 0:
-            raise ParameterError("decaying damping is singular at t=0; start at t0 > 0")
+        flow.eta(t0)    # an r/t damping raises ParameterError for t0 <= 0
         v0 = as_element(v0, "v0")
         y = np.stack([x0, v0])
 
@@ -157,25 +129,6 @@ def _record(xs, vs, i, y, second_order):
         vs[i] = y[1]
     else:
         xs[i] = y
-
-
-def reference_integrator_order(steps_list=(32, 64, 128, 256), T: float = 2.0) -> float:
-    """Self-check: measured global order of the RK4 oracle on xdot = -x."""
-    oracle = _ScalarDecay()
-    errs = []
-    for steps in steps_list:
-        traj = reference_trajectory(GradientFlow(oracle), np.array([1.0]), T=T, steps=steps)
-        errs.append(abs(traj.xs[-1][0] - math.exp(-T)))
-    slope = np.polyfit(np.log([T / s for s in steps_list]), np.log(errs), 1)[0]
-    return float(slope)
-
-
-class _ScalarDecay:
-    def grad(self, x):
-        return x
-
-    def value(self, x):
-        return 0.5 * float(x @ x)
 
 
 # ---------------------------------------------------------------------------
@@ -274,41 +227,30 @@ def local_error_order(
         if len(kept) >= 3:
             h_values = kept
 
-    accelerated = schedule is not None and not isinstance(schedule, NoDamping)
+    accelerated = schedule is not None and schedule.accelerated
     if accelerated and v0 is None:
         # Deterministic, generic direction; avoid anything proportional to
         # grad F(x0), which could cancel the leading error term.
         v0 = np.cos(1.0 + np.arange(x0.size)).reshape(x0.shape)
-    step_fn = _STEPS[method]
+    step_fn = METHODS[method][0]
 
     errors = []
     for h in h_values:
         if accelerated:
-            lam = h * h
-            cfg = StepConfig(lam=lam, schedule=schedule)
+            cfg = StepConfig(lam=h * h, schedule=schedule)
             k0 = max(1, round(t0 / h))
-            t_start = k0 * h
-            g0 = damping_mod.gamma(schedule, k0, h)
             x_prev = x0 - h * v0
-            x_hat = damping_mod.extrapolate(x0, x_prev, g0)
-            state = SolverState(
-                x=x0, x_prev=x_prev, x_hat=x_hat, c=_matched_c(method, problem, x0),
-                k=k0, estimate=x0,
-            )
-            new = step_fn(state, problem, cfg)
-            flow = AcceleratedFlow(total, schedule)
-            ref = reference_trajectory(flow, x0, v0, t0=t_start, T=t_start + h,
-                                       steps=rk_substeps)
+            x_hat = damping_mod.extrapolate(x0, x_prev, damping_mod.gamma(schedule, k0, h))
+            flow, t_start = AcceleratedFlow(total, schedule), k0 * h
         else:
-            lam = h
-            cfg = StepConfig(lam=lam, schedule=None)
-            state = SolverState(
-                x=x0, x_prev=x0, x_hat=x0, c=_matched_c(method, problem, x0),
-                k=1, estimate=x0,
-            )
-            new = step_fn(state, problem, cfg)
-            flow = GradientFlow(total)
-            ref = reference_trajectory(flow, x0, t0=0.0, T=h, steps=rk_substeps)
+            cfg = StepConfig(lam=h)
+            k0, x_prev, x_hat = 1, x0, x0
+            flow, t_start = GradientFlow(total), 0.0
+        state = SolverState(x=x0, x_prev=x_prev, x_hat=x_hat,
+                            c=_matched_c(method, problem, x0), k=k0, estimate=x0)
+        new = step_fn(state, problem, cfg)
+        ref = reference_trajectory(flow, x0, v0, t0=t_start, T=t_start + h,
+                                   steps=rk_substeps)
         errors.append(norm(new.x - ref.xs[-1]))
     return _fit_loglog(h_values, errors)
 
@@ -391,6 +333,60 @@ def continuous_rate_check(
         return RateFit(kind=kind, exponent=float(slope), r_squared=r2)
 
     raise ParameterError(f"unknown fit kind {kind!r}; use 'exponential' or 'power'")
+
+
+@dataclass(frozen=True, eq=False)
+class RateCase:
+    """A reference flow whose continuous decay rate is known.
+
+    ``config`` holds the arguments of :func:`continuous_rate_check`
+    beyond the flow and its objective (the flow's own oracle); the fitted
+    value must fall in ``band`` = (lo, hi) around ``predicted``.
+    """
+
+    flow: object
+    predicted: float
+    band: tuple[float, float]
+    config: dict
+
+    def in_band(self, fitted: float) -> bool:
+        return self.band[0] <= fitted <= self.band[1]
+
+
+def rate_cases() -> dict[str, RateCase]:
+    """The rate cases that ``proxflow rates`` fits, by name."""
+    quad = prox.Quadratic(np.diag([1.0, 4.0]))
+    quartic = prox.FunctionOracle(
+        value=lambda x: 0.25 * float(np.sum(x**4)), grad=lambda x: x**3, name="quartic")
+    m = 4.0
+    quad1 = prox.Quadratic(np.array([[m]]))
+    return {
+        # strongly convex descent flow: distance ~ exp(-m t), m = 1, within 15%
+        "gradient-flow-strongly-convex": RateCase(
+            GradientFlow(quad), 1.0, (0.85, 1.15),
+            dict(x_star=np.zeros(2), F_star=0.0, T=8.0, x0=np.array([1.0, 1.0]),
+                 steps=4000, kind="exponential")),
+        # convex (degenerate) objective under decaying damping: F - F* ~ t^-2,
+        # a fitted exponent of -1.7 or below
+        "accelerated-decaying-convex": RateCase(
+            AcceleratedFlow(quartic, DecayingDamping(3.0)), -2.0, (-math.inf, -1.7),
+            dict(x_star=np.zeros(1), F_star=0.0, T=300.0, x0=np.array([1.5]),
+                 v0=np.zeros(1), t0=1.0, steps=120_000, kind="power",
+                 window=(0.03, 1.0))),
+        # strongly convex (m = 4) under critical constant damping: distance ~
+        # exp(-sqrt(m) t), within 25%
+        "accelerated-constant-strongly-convex": RateCase(
+            AcceleratedFlow(quad1, ConstantDamping(2.0 * math.sqrt(m))), math.sqrt(m),
+            (0.75 * math.sqrt(m), 1.25 * math.sqrt(m)),
+            dict(x_star=np.zeros(1), F_star=0.0, T=10.0, x0=np.array([1.0]),
+                 v0=np.zeros(1), steps=8000, kind="exponential")),
+    }
+
+
+def run_rate_case(name: str) -> RateFit:
+    """Fit the decay of one of :func:`rate_cases` with its configuration."""
+    case = rate_cases()[name]
+    return continuous_rate_check(case.flow, case.flow.grad, **case.config)
 
 
 def _r_squared(y, fitted) -> float:

@@ -1,4 +1,4 @@
-"""Proximal and gradient oracles, plus the operator calculus they support.
+"""Proximal and gradient oracles.
 
 Oracles are duck-typed.  A prox-capable term exposes
 
@@ -56,23 +56,6 @@ def prox_nuclear(x: Element, tau: float) -> Element:
             f"SVD failed for matrix of shape {np.shape(x)} (tau={tau}): {exc}"
         ) from exc
     return (u * np.maximum(s - tau, 0.0)) @ vt
-
-
-def prox_least_squares(v: Element, lam: float, A: Element, b: Element) -> Element:
-    """Solve ``(I + lam*A^T A) x = v + lam*A^T b``, the prox of 0.5*||Ax-b||^2.
-
-    One-shot form of ``LeastSquares(A, b).prox(v, lam)``; keep the oracle
-    instead when calling repeatedly at fixed ``lam``, so its cached
-    factorization is reused.
-    """
-    return LeastSquares(A, b).prox(v, lam)
-
-
-def cayley(oracle, lam: float, x: Element) -> Element:
-    """Reflection 2*J(x, lam) - x through the resolvent of ``oracle``."""
-    if lam <= 0:
-        raise ParameterError(f"prox parameter must be > 0, got {lam}")
-    return 2.0 * oracle.prox(x, lam) - x
 
 
 def grad_check(w, x: Element, step: float = 1e-6) -> float:
@@ -168,24 +151,6 @@ def _gram_builder(A: np.ndarray, wide: bool):
 
 # ---------------------------------------------------------------------------
 # oracle classes
-
-
-class Zero:
-    """The zero function: prox is the identity, gradient vanishes."""
-
-    name = "zero"
-
-    def value(self, x: Element) -> float:
-        return 0.0
-
-    def grad(self, x: Element) -> Element:
-        return np.zeros_like(x)
-
-    def prox(self, v: Element, lam: float) -> Element:
-        return v
-
-    def lipschitz(self) -> float:
-        return 0.0
 
 
 class L1:

@@ -21,6 +21,10 @@ Momentum enters only through the extrapolated point
 so with ``NoDamping`` every step reproduces its classical fixed-point
 iteration exactly.  In accelerated mode the step scale is h = sqrt(lam);
 in plain mode h = lam.
+
+``METHODS`` maps each method name to its step, the terms it needs and
+the terms it needs absent; every check of a (method, problem) pairing
+reads it.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ from . import damping, space
 from .damping import NoDamping, Schedule
 from .errors import ConfigurationError, ParameterError
 from .space import Element
-
-METHODS = ("admm", "dy", "dr", "fb", "tseng")
 
 DIVERGENCE_NORM = 1e12
 
@@ -93,12 +95,8 @@ class StepConfig:
             object.__setattr__(self, "schedule", NoDamping())
 
     @property
-    def accelerated(self) -> bool:
-        return not isinstance(self.schedule, NoDamping)
-
-    @property
     def h(self) -> float:
-        return math.sqrt(self.lam) if self.accelerated else self.lam
+        return math.sqrt(self.lam) if self.schedule.accelerated else self.lam
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,8 +148,7 @@ def step_admm(state: SolverState, problem: Problem, cfg: StepConfig) -> SolverSt
     dual variable) is never extrapolated, unlike "fast" ADMM variants
     that accelerate the multiplier update as well.
     """
-    if problem.f is None or problem.g is None:
-        raise ConfigurationError("this splitting needs both f and g (w optional)")
+    check_method("admm", problem)
     lam = cfg.lam
     xh = state.x_hat
     c = state.c
@@ -169,8 +166,7 @@ def step_davis_yin(state: SolverState, problem: Problem, cfg: StepConfig) -> Sol
     x_{k+3/4} = prox_g(x_{k+1/2} - lam*grad_w(x_{k+1/4}))
     x_{k+1}   = xhat_k + x_{k+3/4} - x_{k+1/4}
     """
-    if problem.g is None:
-        raise ConfigurationError("this splitting needs g (f and w optional)")
+    check_method("dy", problem)
     lam = cfg.lam
     xh = state.x_hat
     x_q = problem.prox_f(xh, lam)
@@ -186,10 +182,7 @@ def step_tseng(state: SolverState, problem: Problem, cfg: StepConfig) -> SolverS
     x_{k+1/2} = prox_g(xhat_k - lam*grad_w(xhat_k))
     x_{k+1}   = x_{k+1/2} - lam*(grad_w(x_{k+1/2}) - grad_w(xhat_k))
     """
-    if problem.f is not None:
-        raise ConfigurationError("forward-backward-forward requires f absent")
-    if problem.g is None or problem.w is None:
-        raise ConfigurationError("forward-backward-forward needs both g and w")
+    check_method("tseng", problem)
     lam = cfg.lam
     xh = state.x_hat
     gw_hat = problem.grad_w(xh)
@@ -198,32 +191,32 @@ def step_tseng(state: SolverState, problem: Problem, cfg: StepConfig) -> SolverS
     return _advance(state, x_next, cfg, c=state.c, last_half=x_half, estimate=x_half)
 
 
-_STEPS = {
-    "admm": step_admm,
-    "dy": step_davis_yin,
-    "dr": step_davis_yin,
-    "fb": step_davis_yin,
-    "tseng": step_tseng,
+# Every method by name: its step, the terms it needs and the terms that
+# must be absent.  "dr" and "fb" are the w-absent and f-absent reductions
+# of the three-operator step.
+METHODS = {
+    "admm": (step_admm, ("f", "g"), ()),
+    "dy": (step_davis_yin, ("g",), ()),
+    "dr": (step_davis_yin, ("g",), ("w",)),
+    "fb": (step_davis_yin, ("g",), ("f",)),
+    "tseng": (step_tseng, ("g", "w"), ("f",)),
 }
 
 
-def check_method(method: str, problem: Problem) -> None:
-    """Validate a (method, problem) pairing, including the dr/fb reductions."""
+def method_spec(method: str) -> tuple:
+    """The ``METHODS`` entry (step, needed terms, absent terms) of a method."""
     if method not in METHODS:
-        raise ConfigurationError(f"unknown method {method!r}; choose from {METHODS}")
-    if method == "admm" and (problem.f is None or problem.g is None):
-        raise ConfigurationError("admm needs both f and g")
-    if method in ("dy", "dr", "fb") and problem.g is None:
-        raise ConfigurationError(f"{method} needs g")
-    if method == "dr" and problem.w is not None:
-        raise ConfigurationError("dr is the w-absent reduction; use method 'dy' instead")
-    if method == "fb" and problem.f is not None:
-        raise ConfigurationError("fb is the f-absent reduction; use method 'dy' instead")
-    if method == "tseng":
-        if problem.f is not None:
-            raise ConfigurationError("tseng requires f absent")
-        if problem.g is None or problem.w is None:
-            raise ConfigurationError("tseng needs both g and w")
+        raise ConfigurationError(f"unknown method {method!r}; choose from {tuple(METHODS)}")
+    return METHODS[method]
+
+
+def check_method(method: str, problem: Problem) -> None:
+    """Validate a (method, problem) pairing against ``METHODS``."""
+    _, needed, absent = method_spec(method)
+    if (any(getattr(problem, t) is None for t in needed)
+            or any(getattr(problem, t) is not None for t in absent)):
+        rule = f"{method} needs {' and '.join(needed)}"
+        raise ConfigurationError(rule + "".join(f", {t} absent" for t in absent))
 
 
 def dy_fixed_point_operator(problem: Problem, lam: float, x: Element) -> Element:
@@ -245,42 +238,6 @@ def dy_fixed_point_operator(problem: Problem, lam: float, x: Element) -> Element
     return 0.5 * x + 0.5 * c_g - 0.5 * w_q
 
 
-def tseng_fixed_point_operator(problem: Problem, lam: float, x: Element) -> Element:
-    """The one-step map (I - lam*grad_w) o J_g o (I - lam*grad_w) + lam*grad_w."""
-    if lam <= 0:
-        raise ParameterError(f"lam must be > 0, got {lam}")
-    gw = problem.grad_w(x)
-    y = problem.prox_g(x - lam * gw, lam)
-    return y - lam * problem.grad_w(y) + lam * gw
-
-
-def residual(
-    problem: Problem,
-    lam: float,
-    x: Element,
-    method: str,
-    state: SolverState | None = None,
-) -> float:
-    """Fixed-point residual of the chosen method at ``x``.
-
-    For the Davis-Yin family this is ||x - P(x)||, for Tseng
-    ||x - Phi(x)|| with the forward-backward-forward map.  The balance
-    coefficient method has no one-point operator, so its residual is
-    read off the latest step as ||x_{k+1} - x_{k+1/2}|| + ||x_{k+1} - x_k||
-    (``state`` required).  Residuals need not decrease monotonically
-    under momentum.
-    """
-    if method in ("dy", "dr", "fb"):
-        return space.norm(x - dy_fixed_point_operator(problem, lam, x))
-    if method == "tseng":
-        return space.norm(x - tseng_fixed_point_operator(problem, lam, x))
-    if method == "admm":
-        if state is None or state.last_half is None:
-            raise ParameterError("admm residual is defined from the latest step; pass state")
-        return space.norm(state.x - state.last_half) + space.norm(state.x - state.x_prev)
-    raise ConfigurationError(f"unknown method {method!r}; choose from {METHODS}")
-
-
 def _trace_residual(method: str, prev: SolverState, new: SolverState) -> float:
     # One DY/Tseng step evaluates the fixed-point map at xhat_k, so
     #   ||xhat_k - x_{k+1}|| = ||xhat_k - Phi(xhat_k)||  comes for free.
@@ -300,17 +257,6 @@ def stop_on_residual(tol: float = 1e-10) -> StopRule:
 
     def rule(state: SolverState, resid: float) -> bool:
         return resid <= tol
-
-    return rule
-
-
-def stop_on_relative_change(tol: float = 1e-10) -> StopRule:
-    """Stop once ||x_k - x_{k-1}|| <= tol * ||x_{k-1}||."""
-
-    def rule(state: SolverState, resid: float) -> bool:
-        denom = space.norm(state.x_prev)
-        delta = space.norm(state.x - state.x_prev)
-        return delta <= tol * denom if denom > 0 else delta <= tol
 
     return rule
 
@@ -377,7 +323,7 @@ def run(
 
     Parameters
     ----------
-    method : one of "admm", "dy", "dr", "fb", "tseng"
+    method : a key of ``METHODS``
         "dr" and "fb" validate the corresponding reduction (w or f
         absent) and then run the three-operator step.
     stop : callable (state, residual) -> bool, optional
@@ -400,7 +346,7 @@ def run(
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
     check_method(method, problem)
-    step_fn = _STEPS[method]
+    step_fn = METHODS[method][0]
     state = initial_state(x0, c0)
 
     ks = [0]

@@ -31,12 +31,6 @@ def check_same_shape(x: Element, y: Element) -> None:
         raise ShapeMismatchError(f"shape mismatch: {np.shape(x)} vs {np.shape(y)}")
 
 
-def combine(a: float, x: Element, b: float, y: Element) -> Element:
-    """Return ``a*x + b*y`` elementwise.  Shapes must match exactly."""
-    check_same_shape(x, y)
-    return a * x + b * y
-
-
 def inner(x: Element, y: Element) -> float:
     """Euclidean inner product; Frobenius inner product for matrices."""
     check_same_shape(x, y)

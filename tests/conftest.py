@@ -1,6 +1,9 @@
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from proxflow import prox
 from proxflow.solvers import Problem
@@ -11,6 +14,10 @@ from proxflow.solvers import Problem
 settings.register_profile("deterministic", derandomize=True, deadline=None,
                           database=None)
 settings.load_profile("deterministic")
+# hypothesis still caches constants it collects from the source; keep them
+# out of the checkout, in a directory removed when the test process exits
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="proxflow-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture

@@ -163,6 +163,21 @@ def test_rates_writes_summary(tmp_path, capsys):
                      "accelerated-constant-strongly-convex"}
 
 
+def test_rates_out_of_band_exits_2(tmp_path, monkeypatch, capsys):
+    from dataclasses import replace
+
+    from proxflow import odelab
+
+    # keep only the cheap case, with a band its fit (about 1.0) misses
+    case = odelab.rate_cases()["gradient-flow-strongly-convex"]
+    monkeypatch.setattr(odelab, "rate_cases", lambda: {
+        "gradient-flow-strongly-convex": replace(case, band=(2.0, 3.0))})
+    code = cli.main(["rates", "--outdir", str(tmp_path)])
+    assert code == 2
+    _, _, rows = read_csv(tmp_path / "rates.csv")
+    assert [r[0] for r in rows] == ["gradient-flow-strongly-convex"]
+
+
 def test_lasso_subcommand_writes_per_run_and_aggregate(tmp_path):
     code = cli.main(["lasso", "--desk", "--seeds", "1",
                      "--variants", "fb,fb-constant", "--outdir", str(tmp_path)])

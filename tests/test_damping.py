@@ -80,13 +80,41 @@ def test_none_schedule_is_zero_everywhere():
     (lambda: CombinedDamping(2.0, 0.4), lambda t: 2.0 / t + 0.4),
 ])
 def test_first_order_consistency(make, eta):
-    # gamma_k = 1 - eta(t_k)*h + O(h^2) over t_k = k*h in [1, 2]
+    # gamma_k = 1 - eta(t_k)*h + O(h^2) over t_k = k*h in [1, 2], and the
+    # schedule's own eta(t) is the damping it discretizes
     sched = make()
     for h in (1e-1, 1e-2, 1e-3):
         for t in np.arange(1.0, 2.0, 0.125):
             k = round(t / h)
             diff = abs(damping.gamma(sched, k, h) - (1.0 - eta(k * h) * h))
             assert diff <= 10.0 * h * h
+            assert sched.eta(t) == eta(t)
+
+
+@pytest.mark.parametrize("sched", [DecayingDamping(3.0), CombinedDamping(2.0, 0.4)],
+                         ids=["decaying", "combined"])
+def test_r_over_t_damping_singular_at_zero(sched):
+    for t in (0.0, -1.0):
+        with pytest.raises(ParameterError):
+            sched.eta(t)
+
+
+def test_only_no_damping_is_unaccelerated():
+    assert not NoDamping().accelerated
+    for sched in (DecayingDamping(3.0), ConstantDamping(0.5), CombinedDamping(2.0, 0.4)):
+        assert sched.accelerated
+    assert NoDamping().eta(5.0) == 0.0 and ConstantDamping(0.5).eta(5.0) == 0.5
+
+
+def test_schedule_for_names():
+    assert damping.schedule_for("none") == NoDamping()
+    assert damping.schedule_for("decaying") == DecayingDamping(3.0)
+    assert damping.schedule_for("decaying", 4.0) == DecayingDamping(4.0)
+    assert damping.schedule_for("constant", 0.5) == ConstantDamping(0.5)
+    assert damping.schedule_for("combined", r1=2.0, r2=0.4) == CombinedDamping(2.0, 0.4)
+    for name, kwargs in (("constant", {}), ("combined", {"r1": 2.0}), ("nope", {})):
+        with pytest.raises(ParameterError):
+            damping.schedule_for(name, **kwargs)
 
 
 def test_extrapolate_examples():

@@ -299,6 +299,14 @@ def test_matcomp_suite_single_mode_smoke():
         assert rec.stages is None
 
 
+def test_matcomp_rank_is_last_nuclear_prox_output():
+    # desk seed 1: both families stop at the same final error with a rank-4
+    # nuclear-prox output; a second shrinkage of ADMM's box output read 3
+    cfg = replace(MatCompConfig(), seeds=(1,), variants=("dy", "admm"))
+    report = run_matcomp_suite(cfg, mode="single")
+    assert [rec.rank for rec in report.records] == [4, 4]
+
+
 def test_matcomp_suite_anneal_improves_error():
     single = run_matcomp_suite(SMALL_MATCOMP, mode="single")
     anneal = run_matcomp_suite(SMALL_MATCOMP, mode="anneal")

@@ -2,49 +2,8 @@ import numpy as np
 import pytest
 
 from proxflow import prox, space
-from proxflow.errors import ParameterError
-from proxflow.monotone import resolvent_of_yosida, step_dy_regularized, yosida_apply
+from proxflow.monotone import resolvent_of_yosida, step_dy_regularized
 from proxflow.solvers import Problem, SolverState, StepConfig, initial_state, step_davis_yin
-
-
-def test_yosida_zero_operator(rng):
-    x = rng.standard_normal(4)
-    np.testing.assert_allclose(yosida_apply(prox.Zero(), 0.5, x), np.zeros(4), atol=1e-15)
-
-
-def test_yosida_abs_subdifferential_value():
-    # resolvent of the absolute-value subdifferential is the soft threshold
-    got = yosida_apply(prox.L1(1.0), 1.0, np.array([2.0]))
-    assert got == pytest.approx([1.0])
-
-
-def test_yosida_vanishes_at_zeros(rng):
-    # x inside the soft-threshold dead zone is a fixed point of the
-    # resolvent, hence a zero of the regularization
-    A = prox.L1(1.0)
-    x = np.array([0.0, 0.0])
-    np.testing.assert_array_equal(yosida_apply(A, 0.3, x), np.zeros(2))
-
-
-def test_yosida_rejects_nonpositive_mu():
-    with pytest.raises(ParameterError):
-        yosida_apply(prox.L1(1.0), 0.0, np.zeros(1))
-
-
-def test_yosida_lipschitz_bound(rng):
-    A = prox.L1(0.8)
-    for mu in (0.5, 0.1):
-        for _ in range(30):
-            x, y = rng.standard_normal((2, 6))
-            lhs = space.norm(yosida_apply(A, mu, x) - yosida_apply(A, mu, y))
-            assert lhs <= space.norm(x - y) / mu + 1e-10
-
-
-def test_yosida_minimal_norm_at_kink():
-    # at the kink of |.| the regularization selects the minimal-norm
-    # subgradient, which is 0
-    got = yosida_apply(prox.L1(1.0), 0.25, np.zeros(3))
-    np.testing.assert_array_equal(got, np.zeros(3))
 
 
 def test_resolvent_of_yosida_mu_zero_is_exact(rng):
@@ -56,7 +15,7 @@ def test_resolvent_of_yosida_mu_zero_is_exact(rng):
 def test_resolvent_of_yosida_zero_operator(rng):
     x = rng.standard_normal(4)
     for mu in (0.0, 0.3, 2.0):
-        np.testing.assert_allclose(resolvent_of_yosida(prox.Zero(), 1.1, mu, x), x,
+        np.testing.assert_allclose(resolvent_of_yosida(prox.L1(0.0), 1.1, mu, x), x,
                                    rtol=1e-15)
 
 

@@ -104,13 +104,13 @@ def test_soft_threshold_negative_tau():
 
 def test_prox_least_squares_zero_matrix_is_identity(rng):
     v = rng.standard_normal(4)
-    out = prox.prox_least_squares(v, 0.7, np.zeros((3, 4)), np.zeros(3))
+    out = prox.LeastSquares(np.zeros((3, 4)), np.zeros(3)).prox(v, 0.7)
     np.testing.assert_allclose(out, v, rtol=1e-14)
 
 
 def test_prox_least_squares_identity_matrix():
     v = np.array([2.0, -4.0, 6.0])
-    out = prox.prox_least_squares(v, 1.0, np.eye(3), np.zeros(3))
+    out = prox.LeastSquares(np.eye(3), np.zeros(3)).prox(v, 1.0)
     np.testing.assert_allclose(out, v / 2.0, rtol=1e-14)
 
 
@@ -119,7 +119,7 @@ def test_prox_least_squares_matches_eigendecomposition_oracle(rng):
     b = rng.standard_normal(5)
     v = rng.standard_normal(8)
     lam = 0.3
-    got = prox.prox_least_squares(v, lam, A, b)
+    got = prox.LeastSquares(A, b).prox(v, lam)
     # independent route: eigendecomposition of A^T A
     eigvals, Q = np.linalg.eigh(A.T @ A)
     rhs = v + lam * (A.T @ b)
@@ -140,8 +140,9 @@ def test_prox_least_squares_residual_contract(rng):
 
 
 def test_prox_least_squares_dimension_mismatch(rng):
+    ls = prox.LeastSquares(rng.standard_normal((4, 5)), np.ones(4))
     with pytest.raises(ParameterError):
-        prox.prox_least_squares(np.ones(3), 1.0, rng.standard_normal((4, 5)), np.ones(4))
+        ls.prox(np.ones(3), 1.0)
 
 
 @pytest.mark.parametrize("shape", [(50, 250), (250, 50), (60, 60)],
@@ -280,32 +281,6 @@ def test_prox_nuclear_singular_values_shrink(rng):
     s_in = np.linalg.svd(X, compute_uv=False)
     s_out = np.linalg.svd(out, compute_uv=False)
     assert np.all(s_out <= s_in + 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# cayley map
-
-
-def test_cayley_identity_oracle(rng):
-    x = rng.standard_normal(4)
-    np.testing.assert_allclose(prox.cayley(prox.Zero(), 1.0, x), x, rtol=1e-15)
-
-
-def test_cayley_soft_threshold_value():
-    # prox of the l1 oracle at v=2 with lam*weight = 0.5 is 1.5, so the
-    # reflection gives 2*1.5 - 2 = 1
-    out = prox.cayley(prox.L1(0.5), 1.0, np.array([2.0]))
-    assert out == pytest.approx([1.0])
-
-
-def test_cayley_composition_nonexpansive(rng):
-    quad = prox.Quadratic(np.array([[2.0, 0.3], [0.3, 1.0]]))
-    lam = 0.8
-    for _ in range(25):
-        u, v = rng.standard_normal((2, 2))
-        cu = prox.cayley(quad, lam, prox.cayley(quad, lam, u))
-        cv = prox.cayley(quad, lam, prox.cayley(quad, lam, v))
-        assert space.norm(cu - cv) <= space.norm(u - v) + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ from proxflow.damping import ConstantDamping, DecayingDamping
 from proxflow.errors import ConfigurationError, ParameterError
 from proxflow.experiments import gen_lasso, lasso_problem
 from proxflow.solvers import (
+    METHODS,
     Problem,
     SolverState,
     StepConfig,
+    check_method,
     dy_fixed_point_operator,
     initial_state,
-    residual,
     run,
     step_admm,
     step_davis_yin,
@@ -146,7 +147,7 @@ def test_tseng_affine_w_has_vanishing_correction(rng):
 
 def test_admm_with_identity_proxes_is_gradient_step(rng):
     w = prox.Quadratic(np.diag([1.0, 2.0]), np.array([0.5, -0.5]))
-    problem = Problem(f=prox.Zero(), g=prox.Zero(), w=w)
+    problem = Problem(f=prox.L1(0.0), g=prox.L1(0.0), w=w)
     lam = 0.3
     state = initial_state(rng.standard_normal(2))
     new = step_admm(state, problem, StepConfig(lam=lam))
@@ -206,11 +207,11 @@ def test_scalar_davis_yin_contracts_to_known_minimizer():
 
 
 # ---------------------------------------------------------------------------
-# fixed-point operators and residuals
+# fixed-point operators
 
 
 def test_dy_operator_identity_when_all_absent_terms():
-    problem = Problem(g=prox.Zero())
+    problem = Problem(g=prox.L1(0.0))
     x = np.array([1.0, -2.0, 3.0])
     np.testing.assert_allclose(dy_fixed_point_operator(problem, 0.7, x), x, rtol=1e-15)
 
@@ -236,24 +237,6 @@ def test_dy_operator_fixed_point_from_converged_run():
     assert trace.status == "converged"
     x = state.x
     assert space.norm(dy_fixed_point_operator(problem, lam, x) - x) <= 1e-8
-
-
-def test_residual_zero_at_minimizer_centered():
-    problem = centered_quadratic_problem(seed=4)
-    x_star = np.zeros(3)
-    assert residual(problem, 0.5, x_star, "dy") <= 1e-10
-    p2 = Problem(g=problem.g, w=problem.w)
-    assert residual(p2, 0.5, x_star, "tseng") <= 1e-10
-
-
-def test_residual_admm_requires_state(rng):
-    problem = quadratic_problem(seed=5)
-    with pytest.raises(ParameterError):
-        residual(problem, 0.5, np.zeros(3), "admm")
-    state = initial_state(np.zeros(3))
-    new = step_admm(state, problem, StepConfig(lam=0.5))
-    r = residual(problem, 0.5, new.x, "admm", state=new)
-    assert r == pytest.approx(space.norm(new.x - new.last_half) + space.norm(new.x - state.x))
 
 
 def test_fixed_point_implies_stationarity_bound():
@@ -360,6 +343,16 @@ def test_method_problem_validation():
         run("fb", quad, StepConfig(lam=0.1), np.zeros(3))       # fb wants f absent
     with pytest.raises(ConfigurationError):
         run("nope", quad, StepConfig(lam=0.1), np.zeros(3))
+
+
+def test_method_table_lasso_splits_pass_their_checks():
+    # lasso_problem reads the absent-terms column of METHODS, so every
+    # method, "dy" included, gets a split that its own check accepts
+    inst = gen_lasso(12, 30, seed=5)
+    for method in METHODS:
+        problem = lasso_problem(inst, method)
+        check_method(method, problem)
+        assert (problem.f is None) == (method in ("fb", "tseng"))
 
 
 def test_determinism_bit_identical_traces():

@@ -5,28 +5,6 @@ from proxflow import space
 from proxflow.errors import ShapeMismatchError
 
 
-def test_combine_identity_case():
-    out = space.combine(1.0, np.array([1.0, 2.0]), 0.0, np.array([9.0, 9.0]))
-    np.testing.assert_array_equal(out, [1.0, 2.0])
-
-
-def test_combine_zero_case():
-    out = space.combine(0.0, np.array([1.0, 2.0]), 0.0, np.array([3.0, 4.0]))
-    np.testing.assert_array_equal(out, [0.0, 0.0])
-
-
-def test_combine_direct_arithmetic():
-    out = space.combine(2.0, np.array([1.0, 2.0]), -1.0, np.array([1.0, 1.0]))
-    np.testing.assert_array_equal(out, [1.0, 3.0])
-
-
-def test_combine_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        space.combine(1.0, np.zeros(3), 1.0, np.zeros(4))
-    with pytest.raises(ShapeMismatchError):
-        space.inner(np.zeros((2, 3)), np.zeros((3, 2)))
-
-
 def test_inner_orthogonal_and_direct():
     assert space.inner(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
     assert space.inner(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 5.0
@@ -38,22 +16,17 @@ def test_inner_matches_norm_squared(rng):
         assert space.inner(x, x) == pytest.approx(space.norm(x) ** 2, rel=1e-12)
 
 
+def test_inner_shape_mismatch():
+    with pytest.raises(ShapeMismatchError):
+        space.inner(np.zeros(3), np.zeros(4))
+    with pytest.raises(ShapeMismatchError):
+        space.inner(np.zeros((2, 3)), np.zeros((3, 2)))
+
+
 def test_norm_examples():
     assert space.norm(np.zeros(3)) == 0.0
     assert space.norm(np.array([3.0, 4.0])) == 5.0
     assert space.norm(np.eye(2)) == pytest.approx(np.sqrt(2.0), rel=1e-15)
-
-
-def test_combine_bilinear_and_associative(rng):
-    for _ in range(30):
-        n = int(rng.integers(1, 6))
-        x, y, z = rng.standard_normal((3, n))
-        a, b = rng.standard_normal(2)
-        np.testing.assert_allclose(
-            space.combine(a, x, b, y), space.combine(b, y, a, x), rtol=1e-12)
-        left = space.combine(1.0, x, 1.0, space.combine(1.0, y, 1.0, z))
-        right = space.combine(1.0, space.combine(1.0, x, 1.0, y), 1.0, z)
-        np.testing.assert_allclose(left, right, rtol=1e-12, atol=1e-12)
 
 
 def test_cauchy_schwarz(rng):
@@ -67,7 +40,7 @@ def test_norm_scaling(rng):
     for _ in range(30):
         x = rng.standard_normal(5)
         a = float(rng.standard_normal())
-        got = space.norm(space.combine(a, x, 0.0, x))
+        got = space.norm(a * x)
         assert got == pytest.approx(abs(a) * space.norm(x), rel=1e-12)
 
 
@@ -82,7 +55,5 @@ def test_operations_preserve_finiteness(rng):
     # finite inputs yield finite outputs across random draws
     for _ in range(25):
         x, y = rng.standard_normal((2, 6)) * 1e6
-        out = space.combine(2.0, x, -3.0, y)
-        assert np.all(np.isfinite(out))
         assert np.isfinite(space.inner(x, y))
         assert np.isfinite(space.norm(x))
