@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from conftest import quadratic_problem, quadratic_triple
 from proxflow import prox
 from proxflow.damping import ConstantDamping, DecayingDamping
-from proxflow.errors import ParameterError
+from proxflow.errors import NumericalError, ParameterError
 from proxflow.odelab import (
     AcceleratedFlow,
     GradientFlow,
@@ -70,6 +72,122 @@ def test_reference_trajectory_preconditions():
         reference_trajectory(flow, np.ones(1), np.ones(1), t0=0.0, T=1.0)
     with pytest.raises(ParameterError):
         reference_trajectory(flow, np.ones(1), None, t0=1.0, T=2.0)
+
+
+def _textbook_rk4(flow, x0, v0=None, t0=0.0, T=1.0, steps=100):
+    """Classical RK4 with a fresh array per stage, run to T with no checks."""
+    grad = flow.grad.grad
+    dt = (T - t0) / steps
+    ts = t0 + dt * np.arange(steps + 1)
+    if flow.second_order:
+        def deriv(t, y):
+            return np.stack([y[1], -flow.eta(t) * y[1] - grad(y[0])])
+        y = np.stack([x0, v0]).astype(float)
+    else:
+        def deriv(t, y):
+            return -grad(y)
+        y = np.array(x0, dtype=float)
+    ys = [y]
+    with np.errstate(all="ignore"):
+        for t in ts[:-1]:
+            k1 = deriv(t, y)
+            k2 = deriv(t + dt / 2, y + (dt / 2) * k1)
+            k3 = deriv(t + dt / 2, y + (dt / 2) * k2)
+            k4 = deriv(t + dt, y + dt * k3)
+            y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            ys.append(y)
+    return ts, np.array(ys)
+
+
+_QUARTIC = prox.FunctionOracle(value=lambda x: 0.25 * float(np.sum(x ** 4)),
+                              grad=lambda x: x ** 3)
+
+
+@pytest.mark.parametrize("flow, x0, v0, t0, T", [
+    (GradientFlow(prox.Quadratic(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.2]))),
+     np.array([1.0, -2.0]), None, 0.0, 3.0),
+    (AcceleratedFlow(_QUARTIC, DecayingDamping(3.0)), np.array([1.5]), np.zeros(1), 1.0, 40.0),
+    (AcceleratedFlow(prox.Quadratic(np.diag([4.0, 0.5])), ConstantDamping(1.5)),
+     np.array([1.0, 2.0]), np.array([0.5, -1.0]), 0.0, 10.0),
+], ids=["gradient-quadratic-2d", "decaying-quartic", "constant-quadratic"])
+def test_reference_trajectory_matches_textbook_rk4_bitwise(flow, x0, v0, t0, T):
+    traj = reference_trajectory(flow, x0, v0, t0=t0, T=T, steps=2000)
+    ts, ys = _textbook_rk4(flow, x0, v0, t0=t0, T=T, steps=2000)
+    assert np.array_equal(traj.ts, ts)
+    if flow.second_order:
+        assert np.array_equal(traj.xs, ys[:, 0])
+        assert np.array_equal(traj.vs, ys[:, 1])
+    else:
+        assert np.array_equal(traj.xs, ys)
+        assert traj.vs is None
+
+
+# xdot = x^3 from x0 = 1 leaves float range just after t = 1/2; the
+# inertial xddot + xdot = x^3 from (1, 1) does so too, near t = 1.5
+_BLOW_UP = prox.FunctionOracle(value=lambda x: -0.25 * float(np.sum(x ** 4)),
+                               grad=lambda x: -x ** 3)
+
+
+@pytest.mark.parametrize("flow, v0, T", [
+    (GradientFlow(_BLOW_UP), None, 1.0),
+    (AcceleratedFlow(_BLOW_UP, ConstantDamping(1.0)), np.ones(1), 5.0),
+], ids=["first-order", "second-order"])
+def test_reference_trajectory_blow_up_names_first_nonfinite_step(flow, v0, T):
+    ts, ys = _textbook_rk4(flow, np.ones(1), v0, T=T, steps=1000)
+    first = int(np.argmin(np.isfinite(ys).reshape(len(ts), -1).all(axis=1)))
+    assert first > 0
+    with np.errstate(all="ignore"), pytest.raises(NumericalError) as exc:
+        reference_trajectory(flow, np.ones(1), v0, T=T, steps=1000)
+    assert re.search(r"t=(\S+)", str(exc.value)).group(1) == f"{ts[first]:g}"
+
+
+class _CountingOracle:
+    def __init__(self):
+        self.calls = 0
+
+    def grad(self, x):
+        self.calls += 1
+        return x
+
+    def value(self, x):
+        return 0.5 * float(x @ x)
+
+
+@pytest.mark.parametrize("kind, window", [
+    ("exponental", (0.5, 1.0)),
+    ("power", (0.5, 0.5)),
+    ("power", (0.8, 0.2)),
+    ("exponential", (-0.1, 1.0)),
+    ("exponential", (0.5, 1.1)),
+])
+def test_rate_check_rejects_bad_arguments_before_integrating(kind, window):
+    oracle = _CountingOracle()
+    with pytest.raises(ParameterError):
+        continuous_rate_check(GradientFlow(oracle), oracle, np.zeros(1), 0.0, T=2.0,
+                              x0=np.ones(1), t0=1.0, steps=1000, kind=kind, window=window)
+    assert oracle.calls == 0
+
+
+@pytest.mark.parametrize("flow, cfg", [
+    (AcceleratedFlow(prox.Quadratic(np.array([[4.0]])), ConstantDamping(4.0)),
+     dict(T=10.0, kind="exponential")),
+    (AcceleratedFlow(_QUARTIC, DecayingDamping(3.0)),
+     dict(T=50.0, t0=1.0, kind="power", window=(0.03, 1.0))),
+], ids=["exponential", "power"])
+def test_rate_check_peak_memory(flow, cfg):
+    # the trajectory (ts, xs, vs) and one float per sample, with room to
+    # spare: no per-sample Python objects and no fitting temporaries
+    steps = 20_000
+    args = (flow, flow.grad, np.zeros(1), 0.0)
+    kwargs = dict(cfg, x0=np.array([1.5]), v0=np.zeros(1))
+    continuous_rate_check(*args, steps=100, **kwargs)    # warm-up
+    tracemalloc.start()
+    try:
+        continuous_rate_check(*args, steps=steps, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * (steps + 1)
 
 
 H_GRID = np.logspace(-3, -1, 8)
