@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -208,8 +209,12 @@ class MatCompInstance:
     def observed(self) -> Element:
         return np.where(self.mask, self.M, 0.0)
 
+    @cached_property
+    def _truth_norm(self) -> float:
+        return norm(self.M)
+
     def relative_error(self, x: Element) -> float:
-        return norm(x - self.M) / norm(self.M)
+        return norm(x - self.M) / self._truth_norm
 
 
 def gen_matcomp(

@@ -8,10 +8,11 @@ Oracles are duck-typed.  A prox-capable term exposes
 and a smooth term exposes ``value(x)``, ``grad(x)`` and (when cheap) a
 ``lipschitz()`` estimate for the gradient.  Several classes implement
 both sides and can sit in any slot of a three-term split.  Oracles are
-immutable after construction except for internal factorization caches,
-which are lock-protected so any number of threads may evaluate the same
-oracle concurrently.  A factor cache holds only the matrix it factors,
-never its oracle, so an oracle and its factors are freed by reference
+immutable after construction except for the per-``lam`` caches of the
+inverted systems behind the least-squares and quadratic proxes, which
+are lock-protected so any number of threads may evaluate the same
+oracle concurrently.  A cache holds only the matrix it inverts, never
+its oracle, so an oracle and its inverses are freed by reference
 counting as soon as its last reference goes, without waiting for the
 cyclic garbage collector.
 """
@@ -19,9 +20,9 @@ cyclic garbage collector.
 from __future__ import annotations
 
 import threading
+from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError, ParameterError
 from .space import Element, as_element, check_same_shape
@@ -81,6 +82,11 @@ def grad_check(w, x: Element, step: float = 1e-6) -> float:
     return float(np.max(np.abs(g - fd) / (1.0 + np.abs(g))))
 
 
+def _smaller_gram(A: np.ndarray) -> np.ndarray:
+    """``A A^T`` when m < n, else ``A^T A`` (exactly symmetric)."""
+    return A @ A.T if A.shape[0] < A.shape[1] else A.T @ A
+
+
 def gram_spectral_norm(A: Element) -> float:
     """Largest eigenvalue of ``A^T A``, i.e. the squared spectral norm of A.
 
@@ -90,8 +96,7 @@ def gram_spectral_norm(A: Element) -> float:
     least-squares prox makes).  Exact to rounding, and 0 for a zero
     matrix.
     """
-    gram = A @ A.T if A.shape[0] < A.shape[1] else A.T @ A
-    return float(np.linalg.eigvalsh(gram)[-1])
+    return float(np.linalg.eigvalsh(_smaller_gram(A))[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -99,54 +104,52 @@ def gram_spectral_norm(A: Element) -> float:
 
 
 class _CholeskyCache:
-    """Cholesky factors of I + lam*M, one per ``lam``, built on first use.
+    """Per-``lam`` entries ``((I + lam*M)^{-1}, lam*shift)``, built on first use.
 
-    ``matrix()`` returns a fresh array holding M; it is scaled, shifted
-    and factored in place.  Adding 1 on the diagonal gives the same bits
-    as ``np.eye(n) + lam*M`` without the identity temporary.  Solvers
-    call a prox every iteration at fixed ``lam``, so each factor is built
-    once; the build is lock-protected so concurrent callers share it.
+    The least-squares and quadratic proxes solve systems in I + lam*M
+    whose right-hand sides have the constant part lam*shift.  The inverse
+    is L^{-T} L^{-1}, from the Cholesky factor L of I + lam*M, and is
+    applied by one matrix-vector product.  Its error is of order kappa*eps
+    times ||inverse||*||rhs||, a Cholesky solve's kappa*eps times
+    ||solution||; the two agree unless the right-hand side lies mostly
+    along the large eigenvalues of I + lam*M (kappa <= 1 + lam*||M||).
+
+    ``matrix()`` returns a fresh array holding M; it is scaled and shifted
+    in place.  Adding 1 on the diagonal gives the same bits as
+    ``np.eye(n) + lam*M`` without the identity temporary.  Solvers call a
+    prox every iteration at fixed ``lam``, so each entry is built once;
+    the build is lock-protected so concurrent callers share it.
 
     ``matrix`` must close over M alone: a builder that reaches the owning
-    oracle (a bound method, a lambda over ``self``) makes a reference
+    oracle (its bound method, a lambda over ``self``) makes a reference
     cycle that keeps M alive until the cyclic garbage collector runs.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, shift: np.ndarray):
         self._matrix = matrix
-        self._factors: dict[float, tuple] = {}
+        self._shift = shift
+        self._entries: dict[float, tuple] = {}
         self._lock = threading.Lock()
 
     def __call__(self, lam: float) -> tuple:
-        fact = self._factors.get(lam)
-        if fact is None:
+        entry = self._entries.get(lam)
+        if entry is None:
             with self._lock:
-                fact = self._factors.get(lam)
-                if fact is None:
+                entry = self._entries.get(lam)
+                if entry is None:
                     system = self._matrix()
                     system *= lam
                     system.flat[:: system.shape[0] + 1] += 1.0
                     try:
-                        fact = cho_factor(system, overwrite_a=True)
+                        chol_inv = np.linalg.inv(np.linalg.cholesky(system))
                     except np.linalg.LinAlgError as exc:
                         raise NumericalError(
                             f"Cholesky factorization failed for system of shape "
                             f"{system.shape} (lam={lam}): {exc}"
                         ) from exc
-                    self._factors[lam] = fact
-        return fact
-
-
-def _gram_builder(A: np.ndarray, wide: bool):
-    """Builder of A A^T (``wide``) or A^T A for a ``_CholeskyCache``."""
-
-    def build() -> np.ndarray:
-        gram = A @ A.T if wide else A.T @ A
-        # a Gram product is exactly symmetric, so its Fortran-ordered
-        # transpose is the same matrix and LAPACK factors it without a copy
-        return gram.T
-
-    return build
+                    entry = (chol_inv.T @ chol_inv, lam * self._shift)
+                    self._entries[lam] = entry
+        return entry
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +214,20 @@ class Nuclear:
 class LeastSquares:
     """0.5*||A x - b||^2: smooth (gradient A^T(Ax-b)) and prox-capable.
 
-    The prox solves the SPD system (I + lam*A^T A) x = v + lam*A^T b
-    through the smaller of two Cholesky factorizations, cached per ``lam``
-    (the solvers call the prox every iteration at fixed ``lam``):
+    The prox u solves u + lam*A^T (A u - b) = v through the inverse of the
+    smaller of two SPD systems, cached per ``lam`` (the solvers call the
+    prox every iteration at fixed ``lam``):
 
-    * m >= n: factor the n x n system I + lam*A^T A directly;
-    * m < n: factor the m x m system I + lam*A A^T and apply the matrix
-      inversion lemma (Boyd et al. 2011, *Distributed Optimization and
-      Statistical Learning via ADMM*, sec. 4.2.4)
+    * m >= n: u = (I + lam*A^T A)^{-1} (v + lam*A^T b), with the n x n
+      inverse;
+    * m < n: the residual w = A u - b solves (I + lam*A A^T) w = A v - b,
+      and u = v - lam*A^T w (the matrix inversion lemma of Boyd et al.
+      2011, *Distributed Optimization and Statistical Learning via ADMM*,
+      sec. 4.2.4), with the m x m inverse.  Solving for the residual,
+      rather than applying the lemma to v + lam*A^T b, keeps u from being
+      the small difference of two large vectors when lam*||A||^2 is large.
 
-          (I + lam*A^T A)^{-1} = I - lam*A^T (I + lam*A A^T)^{-1} A,
-
-      so with r = v + lam*A^T b the prox is r - lam*A^T (I + lam*A A^T)^{-1} A r.
-
-    The cached factor is min(m, n) square.
+    The cached inverse is min(m, n) square.
     """
 
     def __init__(self, A, b):
@@ -236,8 +239,8 @@ class LeastSquares:
             )
         self.name = f"least_squares({self.A.shape[0]}x{self.A.shape[1]})"
         self._wide = self.A.shape[0] < self.A.shape[1]
-        self._Atb = self.A.T @ self.b
-        self._factor = _CholeskyCache(_gram_builder(self.A, self._wide))
+        shift = -self.b if self._wide else self.A.T @ self.b
+        self._factor = _CholeskyCache(partial(_smaller_gram, self.A), shift)
         self._lipschitz: float | None = None
 
     def value(self, x: Element) -> float:
@@ -257,18 +260,18 @@ class LeastSquares:
             raise ParameterError(f"prox parameter must be > 0, got {lam}")
         if v.shape[0] != self.A.shape[1]:
             raise ParameterError(f"v has shape {v.shape}, expected ({self.A.shape[1]},)")
-        fact = self._factor(lam)
-        rhs = v + lam * self._Atb
+        inverse, shift = self._factor(lam)
         if not self._wide:
-            return cho_solve(fact, rhs)
-        return rhs - lam * (self.A.T @ cho_solve(fact, self.A @ rhs))
+            return inverse @ (v + shift)
+        # the inverse maps lam*(A v - b) to lam*w
+        return v - self.A.T @ (inverse @ (lam * (self.A @ v) + shift))
 
 
 class Quadratic:
     """0.5*x^T P x + q^T x for symmetric positive semidefinite P.
 
     Smooth and prox-capable; the prox solves (I + lam*P) u = v - lam*q
-    with a cached Cholesky factorization per ``lam``.
+    with the inverse of I + lam*P, cached per ``lam``.
     """
 
     def __init__(self, P, q=None):
@@ -279,8 +282,7 @@ class Quadratic:
         if self.q.shape != (self.P.shape[0],):
             raise ParameterError(f"q has shape {self.q.shape}, expected ({self.P.shape[0]},)")
         self.name = f"quadratic(n={self.P.shape[0]})"
-        P = self.P
-        self._factor = _CholeskyCache(lambda: np.array(P, order="F"))
+        self._factor = _CholeskyCache(self.P.copy, -self.q)
         self._lipschitz: float | None = None
 
     def value(self, x: Element) -> float:
@@ -297,7 +299,8 @@ class Quadratic:
     def prox(self, v: Element, lam: float) -> Element:
         if lam <= 0:
             raise ParameterError(f"prox parameter must be > 0, got {lam}")
-        return cho_solve(self._factor(lam), v - lam * self.q)
+        inverse, shift = self._factor(lam)
+        return inverse @ (v + shift)
 
 
 class HuberL1:

@@ -201,6 +201,22 @@ def test_gen_matcomp_deterministic():
     assert (a.lo, a.hi) == (b.lo, b.hi)
 
 
+def test_matcomp_relative_error_measures_truth_once(monkeypatch):
+    inst = gen_matcomp(15, 14, rank=3, s=0.5, seed=8)
+    rng = np.random.default_rng(0)
+    xs = [inst.M + rng.standard_normal(inst.M.shape) for _ in range(5)]
+    expected = [space.norm(x - inst.M) / space.norm(inst.M) for x in xs]
+    measured = []
+
+    def counting_norm(x):
+        measured.append(x)
+        return space.norm(x)
+
+    monkeypatch.setattr(experiments, "norm", counting_norm)
+    assert [inst.relative_error(x) for x in xs] == expected
+    assert len(measured) == len(xs) + 1
+
+
 def test_gen_matcomp_validates():
     with pytest.raises(ParameterError):
         gen_matcomp(5, 5, rank=6)

@@ -1,8 +1,15 @@
 import gc
+import os
+import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from conftest import make_spd
@@ -191,6 +198,29 @@ def test_quadratic_not_psd_raises_numerical_error():
         quad.prox(np.ones(2), 1.0)
 
 
+_NO_SCIPY_CODE = """
+import sys
+import numpy as np
+import proxflow.cli
+from proxflow import prox
+rng = np.random.default_rng(0)
+for m, n in [(5, 8), (8, 5)]:
+    A, b = rng.standard_normal((m, n)), rng.standard_normal(m)
+    prox.LeastSquares(A, b).prox(rng.standard_normal(n), 0.5)
+prox.Quadratic(np.diag([2.0, 1.0, 0.5])).prox(np.ones(3), 1.0)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_and_quadratic_proxes_load_no_scipy():
+    src = str(Path(prox.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_CODE], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
+
+
 def test_least_squares_cache_concurrent_reads(rng):
     from concurrent.futures import ThreadPoolExecutor
 
@@ -374,6 +404,45 @@ def test_resolvent_identity_smooth(name, make, draw, rng):
         v = draw(rng)
         p = oracle.prox(v, lam)
         assert space.norm(v - p - lam * oracle.grad(p)) <= 1e-8
+
+
+def prox_case(kind, k, extra, seed, lam):
+    """A least-squares or PSD quadratic oracle with a point v, and ``lam``."""
+    rng = np.random.default_rng(seed)
+    if kind == "quadratic":
+        B = rng.standard_normal((k, extra))   # P is singular when extra < k
+        return prox.Quadratic(B @ B.T, rng.standard_normal(k)), rng.standard_normal(k), lam
+    m, n = {"wide": (k, k + extra), "tall": (k + extra, k), "square": (k, k)}[kind]
+    oracle = prox.LeastSquares(rng.standard_normal((m, n)), rng.standard_normal(m))
+    return oracle, rng.standard_normal(n), lam
+
+
+# a nearly square wide A at large lam: applying the inverse to the
+# lemma's v + lam*A^T b, instead of solving for the residual, misses
+# the tolerance here by a factor of 13
+@example(prox_case("wide", 11, 2, 532, 838.9303037253322))
+@given(st.builds(prox_case, st.sampled_from(["wide", "tall", "square", "quadratic"]),
+                 st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1),
+                 st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)))
+def test_least_squares_and_quadratic_prox_optimality(case):
+    # u = prox(v) solves u + lam*grad f(u) = v; the solve's error grows
+    # with the system's condition number, at most 1 + lam*L
+    oracle, v, lam = case
+    u = oracle.prox(v, lam)
+    step = lam * oracle.grad(u)
+    scale = space.norm(u) + space.norm(step) + space.norm(v)
+    tol = 1e-12 * (1.0 + lam * oracle.lipschitz())
+    assert space.norm(u + step - v) <= tol * scale
+
+
+@given(st.integers(1, 8), st.floats(-3.0, 3.0))
+def test_quadratic_not_psd_property(n, log_lam):
+    lam = 10.0 ** log_lam
+    # one eigenvalue -2/lam makes I + lam*P indefinite
+    P = np.diag(np.concatenate([[-2.0 / lam], np.ones(n - 1)]))
+    pattern = rf"shape \({n}, {n}\).*lam={re.escape(str(lam))}"
+    with pytest.raises(NumericalError, match=pattern):
+        prox.Quadratic(P).prox(np.ones(n), lam)
 
 
 def test_huber_prox_against_grid(rng):
