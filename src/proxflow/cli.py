@@ -8,7 +8,8 @@ rates        decay-rate fits of the reference flows on built-in instances
 lasso        the twelve-variant regression suite; per-run + aggregate CSVs
 matcomp      the completion suite (single weight or --anneal)
 
-Exit codes: 0 success/converged, 1 bad arguments, 2 not converged (or
+Exit codes: 0 success/converged, 1 bad arguments (also an unreadable
+config file or an unwritable output path), 2 not converged (or
 slope or rate fit outside its band / partial suite failure), 3 diverged,
 fit failure, or NumericalError (a factorization or decomposition
 failed, a reference trajectory left float range, or a lasso reference
@@ -82,29 +83,20 @@ def _quadratic_triple():
 
 
 def _solve_instance(args):
-    """Instance + split for the solve subcommand."""
-    method = args.method
-    if args.instance in ("lasso-desk", "lasso-full"):
-        m, n = (50, 250) if args.instance == "lasso-desk" else (500, 2500)
-        inst = experiments.gen_lasso(m, n, seed=args.seed)
-        problem = experiments.lasso_problem(inst, method)
-        stop = stop_on_residual(args.tol)
-        x0 = np.zeros(n)
-        return problem, x0, stop
-    if args.instance in ("matcomp-desk", "matcomp-full"):
-        if args.instance == "matcomp-desk":
-            inst = experiments.gen_matcomp(40, 40, rank=3, s=0.5, seed=args.seed)
-        else:
-            inst = experiments.gen_matcomp(100, 100, rank=5, s=0.4, seed=args.seed)
-        alpha = experiments.matched_single_alpha(inst)
-        problem = experiments.matcomp_problem(inst, alpha)
-        stop = stop_on_estimate_change(args.tol)
-        return problem, inst.observed, stop
-    if args.instance == "quad-desk":
-        problem = _quad_problem_for(method)
-        stop = stop_on_residual(args.tol)
-        return problem, np.array([1.0, -1.0]), stop
-    raise ParameterError(f"unknown instance {args.instance!r}")
+    """Instance + split for the solve subcommand, at the suites' sizes."""
+    kind, scale = args.instance.split("-")
+    if kind == "quad":
+        return _quad_problem_for(args.method), np.array([1.0, -1.0]), stop_on_residual(args.tol)
+    if kind == "lasso":
+        cfg = experiments.paper_scale_lasso() if scale == "full" else experiments.LassoConfig()
+        inst = experiments.gen_lasso(cfg.m, cfg.n, cfg.sparsity, cfg.noise_std, args.seed,
+                                     cfg.alpha_ratio)
+        problem = experiments.lasso_problem(inst, args.method)
+        return problem, np.zeros(cfg.n), stop_on_residual(args.tol)
+    cfg = experiments.paper_scale_matcomp() if scale == "full" else experiments.MatCompConfig()
+    inst = experiments.gen_matcomp(cfg.n, cfg.m, cfg.rank, cfg.s, cfg.entry_mean, args.seed)
+    problem = experiments.matcomp_problem(inst, experiments.matched_single_alpha(inst))
+    return problem, inst.observed, stop_on_estimate_change(args.tol)
 
 
 def _quad_problem_for(method: str) -> Problem:
@@ -164,16 +156,12 @@ def cmd_rates(args) -> int:
     return EXIT_NOT_CONVERGED if out_of_band else EXIT_OK
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in text.split(",") if s.strip() != "")
-
-
 def _suite_config(cfg, paper_scale, args):
     """A suite's configuration with --paper-scale and explicit overrides."""
     if args.paper_scale:
         cfg = paper_scale(cfg)
     if args.seeds is not None:
-        cfg = replace(cfg, seeds=_parse_seeds(args.seeds))
+        cfg = replace(cfg, seeds=tuple(int(s) for s in args.seeds.split(",") if s.strip()))
     if args.variants is not None:
         cfg = replace(cfg, variants=tuple(args.variants.split(",")))
     if args.max_iters is not None:
@@ -181,48 +169,61 @@ def _suite_config(cfg, paper_scale, args):
     return cfg
 
 
+def _write_report(report, outdir: Path, prefix: str, stages: bool = False) -> int:
+    """Write a suite's series, aggregate and (with ``stages``) stage CSVs
+    under ``prefix`` and print one line per run."""
+    for rec in report.records:
+        csvio.write_series_csv(rec.errors, outdir / f"{prefix}-{rec.variant}-seed{rec.seed}.csv")
+    aggregate = outdir / f"{prefix}-aggregate.csv"
+    csvio.write_aggregate_csv(report.summaries(), aggregate)
+    if stages:
+        csvio.write_stages_csv(report.records, outdir / f"{prefix}-stages.csv")
+    for rec in report.records:
+        rank = "" if rec.rank is None else f" rank={rec.rank}"
+        print(f"{rec.variant} seed={rec.seed}: iters={rec.iterations} "
+              f"status={rec.status} final_rel_error={rec.final_error:.3e}{rank}")
+    print(f"aggregate written to {aggregate}")
+    failed = any(r.status != "converged" for r in report.records)
+    return EXIT_NOT_CONVERGED if failed else EXIT_OK
+
+
 def cmd_lasso(args) -> int:
     cfg = _suite_config(experiments.LassoConfig(), experiments.paper_scale_lasso, args)
-    report = experiments.run_lasso_suite(cfg)
-    outdir = _outdir(args)
-    for rec in report.records:
-        csvio.write_series_csv(rec.errors, outdir / f"lasso-{rec.variant}-seed{rec.seed}.csv")
-    csvio.write_aggregate_csv(report.summaries(), outdir / "lasso-aggregate.csv")
-    failed = [r for r in report.records if r.status != "converged"]
-    for rec in report.records:
-        print(f"{rec.variant} seed={rec.seed}: iters={rec.iterations} "
-              f"status={rec.status} final_rel_error={rec.final_error:.3e}")
-    print(f"aggregate written to {outdir / 'lasso-aggregate.csv'}")
-    return EXIT_OK if not failed else EXIT_NOT_CONVERGED
+    return _write_report(experiments.run_lasso_suite(cfg), _outdir(args), "lasso")
 
 
 def cmd_matcomp(args) -> int:
     cfg = _suite_config(experiments.MatCompConfig(), experiments.paper_scale_matcomp, args)
     mode = "anneal" if args.anneal else "single"
     report = experiments.run_matcomp_suite(cfg, mode=mode)
-    outdir = _outdir(args)
-    for rec in report.records:
-        csvio.write_series_csv(
-            rec.errors, outdir / f"matcomp-{mode}-{rec.variant}-seed{rec.seed}.csv")
-    csvio.write_aggregate_csv(report.summaries(), outdir / f"matcomp-{mode}-aggregate.csv")
-    if mode == "anneal":
-        csvio.write_stages_csv(report.records, outdir / "matcomp-anneal-stages.csv")
-    failed = [r for r in report.records if r.status != "converged"]
-    for rec in report.records:
-        print(f"{rec.variant} seed={rec.seed}: iters={rec.iterations} "
-              f"status={rec.status} final_rel_error={rec.final_error:.3e} "
-              f"rank={rec.rank}")
-    print(f"aggregate written to {outdir / f'matcomp-{mode}-aggregate.csv'}")
-    return EXIT_OK if not failed else EXIT_NOT_CONVERGED
+    return _write_report(report, _outdir(args), f"matcomp-{mode}", stages=args.anneal)
 
 
 # ---------------------------------------------------------------------------
 # config files and argument wiring
 
-_CONFIG_KEYS = {
-    "lasso": {"seeds", "variants", "max_iters", "paper_scale", "outdir"},
-    "matcomp": {"seeds", "variants", "max_iters", "paper_scale", "anneal", "outdir"},
+
+def _yes(value: str) -> bool:
+    return value.lower() in ("1", "true", "yes")
+
+
+# The suite flags, in parser order: name -> (how a config file's value is
+# read, or None when a config file cannot set it; argparse keywords).  Both
+# suite parsers and the config loader read this table; "anneal" is matcomp's.
+_SUITE_FLAGS = {
+    "desk": (None, dict(action="store_true", help="desk scale (default)")),
+    "paper_scale": (_yes, dict(action="store_true", help="full-size study (slow)")),
+    "anneal": (_yes, dict(action="store_true", help="annealed weight schedule")),
+    "seeds": (str, dict(default=None, help="comma-separated seed list")),
+    "variants": (str, dict(default=None, help="comma-separated variant subset")),
+    "max_iters": (int, dict(type=int, default=None)),
+    "config": (None, dict(default=None)),
+    "outdir": (str, dict(default=None)),
 }
+
+
+def _suite_flags(command: str) -> dict:
+    return {k: v for k, v in _SUITE_FLAGS.items() if k != "anneal" or command == "matcomp"}
 
 
 def load_config(path) -> dict[str, str]:
@@ -239,27 +240,17 @@ def load_config(path) -> dict[str, str]:
     return data
 
 
-def _apply_config(args, subcommand: str) -> None:
-    if getattr(args, "config", None) is None:
-        return
-    allowed = _CONFIG_KEYS[subcommand]
+def _apply_config(args) -> None:
+    readers = {k: read for k, (read, _) in _suite_flags(args.command).items() if read}
     data = load_config(args.config)
-    unknown = set(data) - allowed
+    unknown = set(data) - set(readers)
     if unknown:
         raise ParameterError(
-            f"unknown config keys for {subcommand}: {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}")
-    bools = {"paper_scale", "anneal"}
-    ints = {"max_iters"}
+            f"unknown config keys for {args.command}: {sorted(unknown)}; "
+            f"allowed: {sorted(readers)}")
     for key, value in data.items():
-        if getattr(args, key) not in (None, False):
-            continue    # explicit flags win
-        if key in bools:
-            setattr(args, key, value.lower() in ("1", "true", "yes"))
-        elif key in ints:
-            setattr(args, key, int(value))
-        else:
-            setattr(args, key, value)
+        if getattr(args, key) in (None, False):     # explicit flags win
+            setattr(args, key, readers[key](value))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,26 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default=None)
     p.set_defaults(func=cmd_rates)
 
-    p = sub.add_parser("lasso", help="the twelve-variant regression suite")
-    p.add_argument("--desk", action="store_true", help="desk scale (default)")
-    p.add_argument("--paper-scale", action="store_true", help="full-size study (slow)")
-    p.add_argument("--seeds", default=None, help="comma-separated seed list")
-    p.add_argument("--variants", default=None, help="comma-separated variant subset")
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--outdir", default=None)
-    p.set_defaults(func=cmd_lasso, subcommand="lasso")
-
-    p = sub.add_parser("matcomp", help="the matrix completion suite")
-    p.add_argument("--desk", action="store_true", help="desk scale (default)")
-    p.add_argument("--paper-scale", action="store_true", help="full-size study (slow)")
-    p.add_argument("--anneal", action="store_true", help="annealed weight schedule")
-    p.add_argument("--seeds", default=None, help="comma-separated seed list")
-    p.add_argument("--variants", default=None, help="comma-separated variant subset")
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--outdir", default=None)
-    p.set_defaults(func=cmd_matcomp, subcommand="matcomp")
+    for command, help_text, func in (
+            ("lasso", "the twelve-variant regression suite", cmd_lasso),
+            ("matcomp", "the matrix completion suite", cmd_matcomp)):
+        p = sub.add_parser(command, help=help_text)
+        for key, (_, kwargs) in _suite_flags(command).items():
+            p.add_argument("--" + key.replace("_", "-"), **kwargs)
+        p.set_defaults(func=func)
 
     return parser
 
@@ -328,12 +306,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "subcommand", None) in _CONFIG_KEYS:
-            _apply_config(args, args.subcommand)
+        if getattr(args, "config", None) is not None:
+            _apply_config(args)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_BAD_ARGS
-    except (ParameterError, ValueError) as exc:
+    except (ParameterError, ValueError, OSError) as exc:
         print(f"proxflow: error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
     except NumericalError as exc:

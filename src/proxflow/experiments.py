@@ -48,10 +48,6 @@ class LassoInstance:
     alpha: float
     seed: int
 
-    @property
-    def shape(self):
-        return self.A.shape
-
     def objective(self, x: Element) -> float:
         r = self.A @ x - self.b
         return 0.5 * float(r @ r) + self.alpha * float(np.sum(np.abs(x)))
@@ -333,11 +329,7 @@ class RunReport:
 
     def summaries(self) -> list[VariantSummary]:
         out = []
-        seen: list[str] = []
-        for r in self.records:
-            if r.variant not in seen:
-                seen.append(r.variant)
-        for variant in seen:
+        for variant in dict.fromkeys(r.variant for r in self.records):
             rows = self.for_variant(variant)
             iters = np.array([r.iterations for r in rows], dtype=float)
             errs = np.array([r.final_error for r in rows], dtype=float)
@@ -362,12 +354,16 @@ def _variant_name(family: str, damping: str) -> str:
     return family if damping == "none" else f"{family}-{damping}"
 
 
-def _split_variant(variant: str, families) -> tuple[str, str]:
-    parts = variant.split("-")
-    family, damping = parts[0], parts[1] if len(parts) > 1 else "none"
-    if family not in families or damping not in DAMPINGS or len(parts) > 2:
-        raise ConfigurationError(f"unknown variant {variant!r}")
-    return family, damping
+def _variant_steps(cfg, families, r_constant: float):
+    """(variant, family, StepConfig) for each of ``cfg.variants``; the
+    decaying variants take ``cfg.r_decaying``, the constant ones ``r_constant``."""
+    for variant in cfg.variants:
+        parts = variant.split("-")
+        family, damping = parts[0], parts[1] if len(parts) > 1 else "none"
+        if family not in families or damping not in DAMPINGS or len(parts) > 2:
+            raise ConfigurationError(f"unknown variant {variant!r}")
+        r = cfg.r_decaying if damping == "decaying" else r_constant
+        yield variant, family, StepConfig(lam=cfg.lam, schedule=schedule_for(damping, r))
 
 
 # ---------------------------------------------------------------------------
@@ -439,31 +435,25 @@ def run_lasso_suite(cfg: LassoConfig | None = None) -> RunReport:
                 f"tolerance {cfg.reference_tol:.3e}"
             )
         f_star = ref.value
-        for variant in cfg.variants:
-            family, damping = _split_variant(variant, LASSO_FAMILIES)
+        for variant, family, step_cfg in _variant_steps(cfg, LASSO_FAMILIES, cfg.r_constant):
             problem = lasso_problem(instance, family)
-            r = cfg.r_decaying if damping == "decaying" else cfg.r_constant
-            step_cfg = StepConfig(lam=cfg.lam, schedule=schedule_for(damping, r))
-
-            # F is evaluated once per iteration, in the callback, which runs
-            # before the divergence check and the stop rule
-            values: list[float] = []
-
-            def record(state, _p=problem, _v=values):
-                _v.append(_p.value(state.estimate))
-
-            def gap_rule(state, resid, _f=f_star, _v=values):
-                return abs(_v[-1] - _f) / _f <= cfg.target
-
             x0 = np.zeros(cfg.n)
+            # |F - F*| / F* is evaluated once per iteration, in the callback,
+            # which runs before the divergence check and the stop rule
+            errors = [abs(problem.value(x0) - f_star) / f_star]
+
+            def record(state, _p=problem, _e=errors, _f=f_star):
+                _e.append(abs(_p.value(state.estimate) - _f) / _f)
+
+            def gap_rule(state, resid, _e=errors):
+                return _e[-1] <= cfg.target
+
             state, trace = run(family, problem, step_cfg, x0, stop=gap_rule,
                                max_iters=cfg.max_iters, callback=record,
                                record_objective=False)
-            objectives = np.asarray([problem.value(x0)] + values, dtype=np.float64)
-            errors = np.abs(objectives - f_star) / f_star
             records.append(RunRecord(
                 variant=variant, seed=seed, iterations=trace.iterations,
-                status=trace.status, errors=errors, final_error=float(errors[-1]),
+                status=trace.status, errors=np.asarray(errors), final_error=errors[-1],
             ))
     return RunReport(records)
 
@@ -531,10 +521,7 @@ def run_matcomp_suite(cfg: MatCompConfig | None = None, mode: str = "single") ->
         else:
             alphas = anneal_schedule(cfg.delta, cfg.delta * norm(instance.observed),
                                      cfg.alpha_bar)
-        for variant in cfg.variants:
-            family, damping = _split_variant(variant, MATCOMP_FAMILIES)
-            r = cfg.r_decaying if damping == "decaying" else r_constant
-            step_cfg = StepConfig(lam=cfg.lam, schedule=schedule_for(damping, r))
+        for variant, family, step_cfg in _variant_steps(cfg, MATCOMP_FAMILIES, r_constant):
             records.append(_matcomp_run(instance, family, variant, seed, alphas,
                                         step_cfg, cfg))
     return RunReport(records)
@@ -546,8 +533,6 @@ def _matcomp_run(instance, family, variant, seed, alphas, step_cfg, cfg) -> RunR
     stages = []
     total_iters = 0
     status = "converged"
-    final_state = None
-    problem = None
     for j, alpha in enumerate(alphas):
         problem = matcomp_problem(instance, alpha)
         track = lambda state: errors.append(instance.relative_error(state.estimate))
@@ -562,14 +547,13 @@ def _matcomp_run(instance, family, variant, seed, alphas, step_cfg, cfg) -> RunR
         stages.append(StageLog(stage=j, alpha=alpha, iterations=trace.iterations,
                                final_error=errors[-1]))
         x0 = state.estimate     # warm start for the next weight
-        final_state = state
     # ADMM keeps its last nuclear-prox output as x_{k+1/2}; the
     # three-operator step keeps no x_{k+1/4}, so DY reports the nuclear
     # prox of its final iterate
     if family == "admm":
-        low_rank = final_state.last_half
+        low_rank = state.last_half
     else:
-        low_rank = problem.f.prox(final_state.x, step_cfg.lam)
+        low_rank = problem.f.prox(state.x, step_cfg.lam)
     return RunRecord(
         variant=variant, seed=seed, iterations=total_iters, status=status,
         errors=np.asarray(errors), final_error=errors[-1],

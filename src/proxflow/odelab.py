@@ -18,9 +18,9 @@ Conventions for the one-step tests:
 * decaying damping is singular at t = 0, so those flows start at a time
   t0 > 0 and the solver's counter is aligned as k = round(t0/h), which
   makes gamma_k agree with 1 - eta(k*h)*h to O(h^2) at the start time;
-* for the balance-coefficient method the coefficient is matched to the
-  trajectory as c_k = -grad g(x_k), the value it attains after any exact
-  step on a smooth problem.
+* the balance coefficient is matched to the trajectory as
+  c_k = -grad g(x_k), the value it attains after any exact step on a
+  smooth problem (only the balance-coefficient step reads it).
 """
 
 from __future__ import annotations
@@ -180,11 +180,15 @@ def _line_fit(x, y) -> tuple[float, float, float]:
 
 
 def total_gradient(problem: Problem):
-    """Gradient oracle of F = f + g + w; every present term must be smooth."""
+    """Gradient oracle of F = f + g + w; every present term must be smooth.
+
+    Its ``lipschitz()`` is the sum of the terms' gradient Lipschitz
+    estimates, or None unless every term reports one.
+    """
     terms = [t for t in (problem.f, problem.g, problem.w) if t is not None]
     for t in terms:
         if not hasattr(t, "grad"):
-            raise ParameterError(f"term {getattr(t, 'name', t)!r} has no gradient; "
+            raise ParameterError(f"term {type(t).__name__} has no gradient; "
                                  "order measurement needs a smooth instance")
 
     class _Total:
@@ -194,14 +198,11 @@ def total_gradient(problem: Problem):
         def value(self, x):
             return float(sum(t.value(x) for t in terms))
 
+        def lipschitz(self):
+            ests = [t.lipschitz() if hasattr(t, "lipschitz") else None for t in terms]
+            return None if None in ests else sum(ests, 0.0)
+
     return _Total()
-
-
-def total_lipschitz(problem: Problem) -> float | None:
-    """Sum of the terms' gradient Lipschitz estimates, when all report one."""
-    ests = [t.lipschitz() if hasattr(t, "lipschitz") else None
-            for t in (problem.f, problem.g, problem.w) if t is not None]
-    return None if None in ests else sum(ests, 0.0)
 
 
 def local_error_order(
@@ -230,7 +231,7 @@ def local_error_order(
     if math.log10(h_values[-1] / h_values[0]) < 1.5 - 1e-9:
         raise ParameterError("h_values must span at least 1.5 decades")
     total = total_gradient(problem)
-    L = total_lipschitz(problem)
+    L = total.lipschitz()
     if L is not None and L > 0:
         kept = [h for h in h_values if h <= 0.1 / math.sqrt(L)]
         if len(kept) >= 3:
@@ -242,6 +243,7 @@ def local_error_order(
         # grad F(x0), which could cancel the leading error term.
         v0 = np.cos(1.0 + np.arange(x0.size)).reshape(x0.shape)
     step_fn = METHODS[method][0]
+    c = -problem.g.grad(x0)     # the matched balance coefficient
 
     errors = []
     for h in h_values:
@@ -255,19 +257,12 @@ def local_error_order(
             cfg = StepConfig(lam=h)
             k0, x_prev, x_hat = 1, x0, x0
             flow, t_start = GradientFlow(total), 0.0
-        state = SolverState(x=x0, x_prev=x_prev, x_hat=x_hat,
-                            c=_matched_c(method, problem, x0), k=k0, estimate=x0)
+        state = SolverState(x=x0, x_prev=x_prev, x_hat=x_hat, c=c, k=k0, estimate=x0)
         new = step_fn(state, problem, cfg)
         ref = reference_trajectory(flow, x0, v0, t0=t_start, T=t_start + h,
                                    steps=rk_substeps)
         errors.append(norm(new.x - ref.xs[-1]))
     return _fit_loglog(h_values, errors)
-
-
-def _matched_c(method: str, problem: Problem, x: Element) -> Element:
-    # Match the balance coefficient to the trajectory point; the exact
-    # g-prox makes c_k = -grad g(x_k) hold after every smooth step.
-    return -problem.g.grad(x) if method == "admm" else np.zeros_like(x)
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +297,12 @@ def continuous_rate_check(
     steps: int = 4000,
     kind: str = "exponential",
     window: tuple[float, float] = (0.5, 1.0),
-    envelope: bool | None = None,
 ) -> RateFit:
     """Fit the decay rate of a reference trajectory toward a known optimum.
 
     Exponential fits regress log||x(t) - x*|| on t over the trailing
     ``window`` fraction of the horizon.  Power fits regress
-    log(F(x(t)) - F*) on log t; by default they first take the
+    log(F(x(t)) - F*) on log t; they first take the
     decreasing upper envelope of the samples, since inertial
     trajectories on convex problems oscillate around the optimum and the
     envelope is what the t^p bound describes.
@@ -331,8 +325,7 @@ def continuous_rate_check(
         x = ts[mask]
     else:
         np.maximum(data, 0.0, out=data)
-        if envelope is None or envelope:
-            np.maximum.accumulate(data[::-1], out=data[::-1])
+        np.maximum.accumulate(data[::-1], out=data[::-1])
         mask &= (data > 0) & (ts > 0)
         x = np.log(ts[mask])
     y = data[mask]
@@ -362,7 +355,7 @@ def rate_cases() -> dict[str, RateCase]:
     """The rate cases that ``proxflow rates`` fits, by name."""
     quad = prox.Quadratic(np.diag([1.0, 4.0]))
     quartic = prox.FunctionOracle(
-        value=lambda x: 0.25 * float(np.sum(x**4)), grad=lambda x: x**3, name="quartic")
+        value=lambda x: 0.25 * float(np.sum(x**4)), grad=lambda x: x**3)
     m = 4.0
     quad1 = prox.Quadratic(np.array([[m]]))
     return {

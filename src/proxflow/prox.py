@@ -163,7 +163,6 @@ class L1:
         if weight < 0:
             raise ParameterError(f"l1 weight must be >= 0, got {weight}")
         self.weight = float(weight)
-        self.name = f"l1(weight={weight:g})"
 
     def value(self, x: Element) -> float:
         return self.weight * float(np.sum(np.abs(x)))
@@ -182,7 +181,6 @@ class Box:
             raise ParameterError(f"empty box: lo={lo} > hi={hi}")
         self.lo = float(lo)
         self.hi = float(hi)
-        self.name = f"box[{lo:g},{hi:g}]"
 
     def value(self, x: Element) -> float:
         return 0.0 if bool(np.all(x >= self.lo) and np.all(x <= self.hi)) else np.inf
@@ -200,7 +198,6 @@ class Nuclear:
         if weight < 0:
             raise ParameterError(f"nuclear weight must be >= 0, got {weight}")
         self.weight = float(weight)
-        self.name = f"nuclear(weight={weight:g})"
 
     def value(self, x: Element) -> float:
         return self.weight * float(np.sum(np.linalg.svd(x, compute_uv=False)))
@@ -237,7 +234,6 @@ class LeastSquares:
             raise ParameterError(
                 f"inconsistent dimensions: A {self.A.shape}, b {self.b.shape}"
             )
-        self.name = f"least_squares({self.A.shape[0]}x{self.A.shape[1]})"
         self._wide = self.A.shape[0] < self.A.shape[1]
         shift = -self.b if self._wide else self.A.T @ self.b
         self._factor = _CholeskyCache(partial(_smaller_gram, self.A), shift)
@@ -281,7 +277,6 @@ class Quadratic:
         self.q = np.zeros(self.P.shape[0]) if q is None else as_element(q, "q")
         if self.q.shape != (self.P.shape[0],):
             raise ParameterError(f"q has shape {self.q.shape}, expected ({self.P.shape[0]},)")
-        self.name = f"quadratic(n={self.P.shape[0]})"
         self._factor = _CholeskyCache(self.P.copy, -self.q)
         self._lipschitz: float | None = None
 
@@ -318,7 +313,6 @@ class HuberL1:
             raise ParameterError(f"delta must be > 0, got {delta}")
         self.weight = float(weight)
         self.delta = float(delta)
-        self.name = f"huber_l1(weight={weight:g},delta={delta:g})"
 
     def value(self, x: Element) -> float:
         a = np.abs(x)
@@ -354,7 +348,6 @@ class MaskedQuadratic:
         check_same_shape(self.mask, self.target)
         if np.any(self.target[~self.mask] != 0.0):
             raise ParameterError("target must be zero outside the mask")
-        self.name = f"masked_quadratic({self.mask.sum()} observed)"
 
     def value(self, x: Element) -> float:
         r = np.where(self.mask, x, 0.0) - self.target
@@ -370,17 +363,12 @@ class MaskedQuadratic:
 class FunctionOracle:
     """Wrap explicit value/grad callables (smooth term without a prox)."""
 
-    def __init__(self, value, grad, lipschitz=None, name: str = "function"):
+    def __init__(self, value, grad):
         self._value = value
         self._grad = grad
-        self._lipschitz = lipschitz
-        self.name = name
 
     def value(self, x: Element) -> float:
         return float(self._value(x))
 
     def grad(self, x: Element) -> Element:
         return np.asarray(self._grad(x), dtype=np.float64)
-
-    def lipschitz(self):
-        return self._lipschitz

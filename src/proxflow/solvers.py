@@ -119,12 +119,10 @@ class SolverState:
     estimate: Element | None = None
 
 
-def initial_state(x0: Element, c0: Element | None = None) -> SolverState:
-    """State at k = 0: xhat_0 = x_0 and, unless supplied, c_0 = 0."""
+def initial_state(x0: Element) -> SolverState:
+    """State at k = 0: xhat_0 = x_0 and c_0 = 0."""
     x0 = space.as_element(x0, "x0")
-    c0 = np.zeros_like(x0) if c0 is None else space.as_element(c0, "c0")
-    space.check_same_shape(x0, c0)
-    return SolverState(x=x0, x_prev=x0, x_hat=x0, c=c0, k=0, estimate=x0)
+    return SolverState(x=x0, x_prev=x0, x_hat=x0, c=np.zeros_like(x0), k=0, estimate=x0)
 
 
 def _advance(state: SolverState, x_next: Element, cfg: StepConfig, *, c, last_half, estimate):
@@ -315,7 +313,6 @@ def run(
     *,
     stop: StopRule | None = None,
     max_iters: int = 10000,
-    c0: Element | None = None,
     callback: Optional[Callable[[SolverState], None]] = None,
     record_objective: bool = True,
 ) -> tuple[SolverState, Trace]:
@@ -330,8 +327,6 @@ def run(
         Checked after every step; ``None`` runs the full budget.
     max_iters : int
         Step budget, must be >= 1.
-    c0 : array, optional
-        Initial balance coefficient (zero unless supplied).
     callback : callable, optional
         Invoked with each new state, e.g. to track custom metrics.
     record_objective : bool
@@ -347,7 +342,7 @@ def run(
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
     check_method(method, problem)
     step_fn = METHODS[method][0]
-    state = initial_state(x0, c0)
+    state = initial_state(x0)
 
     ks = [0]
     objectives = [_objective(problem, state, record_objective)]

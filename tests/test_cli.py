@@ -239,3 +239,53 @@ def test_rerun_overwrites_identically(tmp_path):
     assert cli.main(argv) == 0
     second = (tmp_path / "lasso-fb-constant-seed1.csv").read_text()
     assert first == second
+
+
+@pytest.mark.parametrize("case", ["missing-config", "config-is-directory", "outdir-under-file"])
+def test_unreadable_config_or_unwritable_outdir_exits_one(tmp_path, capsys, case):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    extra = {
+        "missing-config": ["--config", str(tmp_path / "missing.cfg")],
+        "config-is-directory": ["--config", str(tmp_path)],
+        "outdir-under-file": ["--outdir", str(blocker / "out")],
+    }[case]
+    code = cli.main(["lasso", "--seeds", "1", "--variants", "fb", *extra])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("proxflow: error: ") and err.count("\n") == 1
+
+
+def test_matcomp_single_mode_reports_through_the_suite_writer(tmp_path, capsys):
+    code = cli.main(["matcomp", "--seeds", "0", "--variants", "dy,admm-constant",
+                     "--outdir", str(tmp_path)])
+    assert code == 0
+    for variant in ("dy", "admm-constant"):
+        schema, _, _ = read_csv(tmp_path / f"matcomp-single-{variant}-seed0.csv")
+        assert schema == "# proxflow-series-v1"
+    _, _, rows = read_csv(tmp_path / "matcomp-single-aggregate.csv")
+    assert [r[0] for r in rows] == ["dy", "admm-constant"]
+    assert not list(tmp_path.glob("*stages*"))
+    *runs, last = capsys.readouterr().out.splitlines()
+    assert len(runs) == 2 and all(" rank=" in line for line in runs)
+    assert last == f"aggregate written to {tmp_path / 'matcomp-single-aggregate.csv'}"
+
+    assert cli.main(["lasso", "--seeds", "1", "--variants", "fb",
+                     "--outdir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "fb seed=1: iters=" in out and "rank=" not in out
+
+
+def test_config_values_are_typed_by_the_flag_table(tmp_path, capsys):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("seeds = 1\nvariants = fb\nmax_iters = 7\n")
+    assert cli.main(["lasso", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
+    assert "fb seed=1: iters=7 status=max-iters" in capsys.readouterr().out
+
+    cfg.write_text("seeds = 0\nvariants = dy\nmax_iters = 20\nanneal = yes\n")
+    assert cli.main(["matcomp", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
+    _, _, rows = read_csv(tmp_path / "matcomp-anneal-stages.csv")
+    assert len(rows) > 1 and max(int(r[4]) for r in rows) == 20
+
+    assert cli.main(["lasso", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
+    assert "unknown config keys for lasso: ['anneal']" in capsys.readouterr().err
