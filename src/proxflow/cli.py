@@ -64,12 +64,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_ARGS, f"{self.prog}: error: {message}\n")
 
 
-def _outdir(args) -> Path:
-    if args.outdir is not None:
-        return Path(args.outdir)
-    return Path(os.environ.get("PROXFLOW_OUTDIR", "."))
-
-
 def _quadratic_triple():
     """Small strongly convex smooth triple used by order-check."""
     P_f = np.array([[0.8, 0.2], [0.2, 0.5]])
@@ -89,12 +83,10 @@ def _solve_instance(args):
         return _quad_problem_for(args.method), np.array([1.0, -1.0]), stop_on_residual(args.tol)
     if kind == "lasso":
         cfg = experiments.paper_scale_lasso() if scale == "full" else experiments.LassoConfig()
-        inst = experiments.gen_lasso(cfg.m, cfg.n, cfg.sparsity, cfg.noise_std, args.seed,
-                                     cfg.alpha_ratio)
-        problem = experiments.lasso_problem(inst, args.method)
+        problem = experiments.lasso_problem(cfg.instance(args.seed), args.method)
         return problem, np.zeros(cfg.n), stop_on_residual(args.tol)
     cfg = experiments.paper_scale_matcomp() if scale == "full" else experiments.MatCompConfig()
-    inst = experiments.gen_matcomp(cfg.n, cfg.m, cfg.rank, cfg.s, cfg.entry_mean, args.seed)
+    inst = cfg.instance(args.seed)
     problem = experiments.matcomp_problem(inst, experiments.matched_single_alpha(inst))
     return problem, inst.observed, stop_on_estimate_change(args.tol)
 
@@ -112,7 +104,7 @@ def cmd_solve(args) -> int:
     cfg = StepConfig(lam=args.lam, schedule=schedule)
     state, trace = run(args.method, problem, cfg, x0,
                        stop=stop, max_iters=args.max_iters)
-    out = _outdir(args) / (
+    out = args.outdir / (
         f"solve-{args.instance}-{args.method}-{args.damping}-seed{args.seed}.csv"
     )
     csvio.write_trace_csv(trace, out)
@@ -133,7 +125,7 @@ def cmd_order_check(args) -> int:
     except ParameterError as exc:
         print(f"order fit failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    out = _outdir(args) / f"order-{args.method}-{args.damping}.csv"
+    out = args.outdir / f"order-{args.method}-{args.damping}.csv"
     csvio.write_order_csv(fit, out)
     print(f"slope={fit.slope:.4f} intercept={fit.intercept:.4f} "
           f"r_squared={fit.r_squared:.6f}")
@@ -148,7 +140,7 @@ def cmd_rates(args) -> int:
         fit = odelab.run_rate_case(name)
         rows.append((name, case.predicted, fit.exponent, fit.r_squared))
         out_of_band |= not case.in_band(fit.exponent)
-    out = _outdir(args) / "rates.csv"
+    out = args.outdir / "rates.csv"
     csvio.write_rates_csv(rows, out)
     for name, predicted, fitted, r2 in rows:
         print(f"{name}: predicted={predicted:+.3f} fitted={fitted:+.4f} r2={r2:.5f}")
@@ -161,7 +153,7 @@ def _suite_config(cfg, paper_scale, args):
     if args.paper_scale:
         cfg = paper_scale(cfg)
     if args.seeds is not None:
-        cfg = replace(cfg, seeds=tuple(int(s) for s in args.seeds.split(",") if s.strip()))
+        cfg = replace(cfg, seeds=args.seeds)
     if args.variants is not None:
         cfg = replace(cfg, variants=tuple(args.variants.split(",")))
     if args.max_iters is not None:
@@ -189,21 +181,27 @@ def _write_report(report, outdir: Path, prefix: str, stages: bool = False) -> in
 
 def cmd_lasso(args) -> int:
     cfg = _suite_config(experiments.LassoConfig(), experiments.paper_scale_lasso, args)
-    return _write_report(experiments.run_lasso_suite(cfg), _outdir(args), "lasso")
+    return _write_report(experiments.run_lasso_suite(cfg), args.outdir, "lasso")
 
 
 def cmd_matcomp(args) -> int:
     cfg = _suite_config(experiments.MatCompConfig(), experiments.paper_scale_matcomp, args)
     mode = "anneal" if args.anneal else "single"
     report = experiments.run_matcomp_suite(cfg, mode=mode)
-    return _write_report(report, _outdir(args), f"matcomp-{mode}", stages=args.anneal)
+    return _write_report(report, args.outdir, f"matcomp-{mode}", stages=args.anneal)
 
 
 # ---------------------------------------------------------------------------
 # config files and argument wiring
 
 
+def _seeds(value: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in value.split(",") if s.strip())
+
+
 def _yes(value: str) -> bool:
+    if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("expected one of 1/true/yes/0/false/no")
     return value.lower() in ("1", "true", "yes")
 
 
@@ -214,7 +212,7 @@ _SUITE_FLAGS = {
     "desk": (None, dict(action="store_true", help="desk scale (default)")),
     "paper_scale": (_yes, dict(action="store_true", help="full-size study (slow)")),
     "anneal": (_yes, dict(action="store_true", help="annealed weight schedule")),
-    "seeds": (str, dict(default=None, help="comma-separated seed list")),
+    "seeds": (_seeds, dict(type=_seeds, default=None, help="comma-separated seed list")),
     "variants": (str, dict(default=None, help="comma-separated variant subset")),
     "max_iters": (int, dict(type=int, default=None)),
     "config": (None, dict(default=None)),
@@ -249,8 +247,12 @@ def _apply_config(args) -> None:
             f"unknown config keys for {args.command}: {sorted(unknown)}; "
             f"allowed: {sorted(readers)}")
     for key, value in data.items():
+        try:
+            parsed = readers[key](value)
+        except ValueError as exc:
+            raise ParameterError(f"{args.config}: bad {key} = {value!r}: {exc}") from None
         if getattr(args, key) in (None, False):     # explicit flags win
-            setattr(args, key, readers[key](value))
+            setattr(args, key, parsed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,10 +310,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "config", None) is not None:
             _apply_config(args)
+        args.outdir = Path(os.environ.get("PROXFLOW_OUTDIR", ".") if args.outdir is None
+                           else args.outdir)
+        args.outdir.mkdir(parents=True, exist_ok=True)     # fail before any solver work
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_BAD_ARGS
-    except (ParameterError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"proxflow: error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
     except NumericalError as exc:

@@ -136,17 +136,12 @@ def schedule_for(name: str, r: float | None = None, r1: float | None = None,
     raise ParameterError(f"unknown damping {name!r}")
 
 
-def gamma(schedule: Schedule | None, k: int, h: float) -> float:
-    """Momentum coefficient at iteration ``k`` for step scale ``h``.
-
-    ``schedule=None`` behaves exactly like :class:`NoDamping`.
-    """
+def gamma(schedule: Schedule, k: int, h: float) -> float:
+    """Momentum coefficient at iteration ``k`` for step scale ``h``."""
     if k < 0:
         raise ParameterError(f"iteration index must be >= 0, got {k}")
     if h <= 0:
         raise ParameterError(f"step scale h must be > 0, got {h}")
-    if schedule is None:
-        return 0.0
     return schedule.gamma(k, h)
 
 

@@ -394,6 +394,9 @@ class LassoConfig:
         _variant_name(f, d) for f in LASSO_FAMILIES for d in DAMPINGS
     )
 
+    def instance(self, seed: int) -> LassoInstance:
+        return gen_lasso(self.m, self.n, self.sparsity, self.noise_std, seed, self.alpha_ratio)
+
 
 def paper_scale_lasso(cfg: LassoConfig | None = None) -> LassoConfig:
     """The full-size study configuration (slow; desk scale is the default)."""
@@ -425,8 +428,7 @@ def run_lasso_suite(cfg: LassoConfig | None = None) -> RunReport:
     cfg = cfg or LassoConfig()
     records = []
     for seed in cfg.seeds:
-        instance = gen_lasso(cfg.m, cfg.n, cfg.sparsity, cfg.noise_std, seed,
-                             cfg.alpha_ratio)
+        instance = cfg.instance(seed)
         ref = reference_solution(instance, tol=cfg.reference_tol)
         if not ref.converged:
             raise NumericalError(
@@ -483,6 +485,9 @@ class MatCompConfig:
         _variant_name(f, d) for f in MATCOMP_FAMILIES for d in DAMPINGS
     )
 
+    def instance(self, seed: int) -> MatCompInstance:
+        return gen_matcomp(self.n, self.m, self.rank, self.s, self.entry_mean, seed)
+
 
 def paper_scale_matcomp(cfg: MatCompConfig | None = None) -> MatCompConfig:
     """The full-size study configuration (slow; desk scale is the default)."""
@@ -490,11 +495,12 @@ def paper_scale_matcomp(cfg: MatCompConfig | None = None) -> MatCompConfig:
     return replace(cfg, n=100, m=100, rank=5, s=0.4, seeds=tuple(range(10)))
 
 
-def _estimate_rank(low_rank_estimate: Element, rel_threshold: float = 1e-6) -> int:
+def _estimate_rank(low_rank_estimate: Element) -> int:
+    """Number of singular values above 1e-6 of the largest."""
     svals = np.linalg.svd(low_rank_estimate, compute_uv=False)
     if svals[0] == 0.0:
         return 0
-    return int(np.sum(svals > rel_threshold * svals[0]))
+    return int(np.sum(svals > 1e-6 * svals[0]))
 
 
 def run_matcomp_suite(cfg: MatCompConfig | None = None, mode: str = "single") -> RunReport:
@@ -505,9 +511,8 @@ def run_matcomp_suite(cfg: MatCompConfig | None = None, mode: str = "single") ->
     iteration.  Annealing mode chains runs over the geometric weight
     schedule, warm-starting each stage from the previous solution, and
     reports summed iterations plus a per-stage log.  The reported rank
-    (singular values above 1e-6 of the largest) is that of ADMM's last
-    nuclear-prox output, and of the nuclear prox of the three-operator
-    step's final iterate.
+    (singular values above 1e-6 of the largest) is that of the final
+    step's nuclear-prox output, ``state.last_half``, for both families.
     """
     cfg = cfg or MatCompConfig()
     if mode not in ("single", "anneal"):
@@ -515,19 +520,18 @@ def run_matcomp_suite(cfg: MatCompConfig | None = None, mode: str = "single") ->
     r_constant = cfg.r_constant_single if mode == "single" else cfg.r_constant_anneal
     records = []
     for seed in cfg.seeds:
-        instance = gen_matcomp(cfg.n, cfg.m, cfg.rank, cfg.s, cfg.entry_mean, seed)
+        instance = cfg.instance(seed)
         if mode == "single":
             alphas = [matched_single_alpha(instance)]
         else:
             alphas = anneal_schedule(cfg.delta, cfg.delta * norm(instance.observed),
                                      cfg.alpha_bar)
         for variant, family, step_cfg in _variant_steps(cfg, MATCOMP_FAMILIES, r_constant):
-            records.append(_matcomp_run(instance, family, variant, seed, alphas,
-                                        step_cfg, cfg))
+            records.append(_matcomp_run(instance, family, variant, alphas, step_cfg, cfg))
     return RunReport(records)
 
 
-def _matcomp_run(instance, family, variant, seed, alphas, step_cfg, cfg) -> RunRecord:
+def _matcomp_run(instance, family, variant, alphas, step_cfg, cfg) -> RunRecord:
     x0 = instance.observed
     errors = [instance.relative_error(x0)]
     stages = []
@@ -547,15 +551,8 @@ def _matcomp_run(instance, family, variant, seed, alphas, step_cfg, cfg) -> RunR
         stages.append(StageLog(stage=j, alpha=alpha, iterations=trace.iterations,
                                final_error=errors[-1]))
         x0 = state.estimate     # warm start for the next weight
-    # ADMM keeps its last nuclear-prox output as x_{k+1/2}; the
-    # three-operator step keeps no x_{k+1/4}, so DY reports the nuclear
-    # prox of its final iterate
-    if family == "admm":
-        low_rank = state.last_half
-    else:
-        low_rank = problem.f.prox(state.x, step_cfg.lam)
     return RunRecord(
-        variant=variant, seed=seed, iterations=total_iters, status=status,
+        variant=variant, seed=instance.seed, iterations=total_iters, status=status,
         errors=np.asarray(errors), final_error=errors[-1],
-        rank=_estimate_rank(low_rank), stages=stages if len(alphas) > 1 else None,
+        rank=_estimate_rank(state.last_half), stages=stages if len(alphas) > 1 else None,
     )

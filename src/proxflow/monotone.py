@@ -29,7 +29,7 @@ the lab are made for smooth instances only.
 
 from __future__ import annotations
 
-from .damping import Schedule
+from .damping import NoDamping, Schedule
 from .errors import ParameterError
 from .solvers import Problem, SolverState, StepConfig, step_davis_yin
 from .space import Element
@@ -66,7 +66,7 @@ def step_dy_regularized(
     C,
     lam: float,
     mu: float,
-    schedule: Schedule | None = None,
+    schedule: Schedule = NoDamping(),
 ) -> SolverState:
     """One three-operator step on the mu-regularized inclusion 0 in (A+B+C)x.
 
@@ -74,7 +74,7 @@ def step_dy_regularized(
     zero operator), C is a single-valued term with a ``grad`` method
     (None means zero).  The extrapolation follows the same
     xhat_{k+1} = x_{k+1} + gamma_{k+1}*(x_{k+1} - x_k) convention as the
-    smooth solvers, with step scale h = sqrt(lam).
+    smooth solvers, with the step scale of :class:`StepConfig`.
     """
     problem = Problem(f=_YosidaResolvent(A, mu), g=_YosidaResolvent(B, mu), w=C)
     return step_davis_yin(state, problem, StepConfig(lam=lam, schedule=schedule))

@@ -195,9 +195,6 @@ def total_gradient(problem: Problem):
         def grad(self, x):
             return sum((t.grad(x) for t in terms), np.zeros_like(x))
 
-        def value(self, x):
-            return float(sum(t.value(x) for t in terms))
-
         def lipschitz(self):
             ests = [t.lipschitz() if hasattr(t, "lipschitz") else None for t in terms]
             return None if None in ests else sum(ests, 0.0)
@@ -208,10 +205,9 @@ def total_gradient(problem: Problem):
 def local_error_order(
     method: str,
     problem: Problem,
-    schedule: Schedule | None,
+    schedule: Schedule,
     h_values,
     x0: Element,
-    v0: Element | None = None,
     t0: float = 1.0,
     rk_substeps: int = 64,
 ) -> OrderFit:
@@ -219,7 +215,8 @@ def local_error_order(
 
     For each h the prox parameter is lam = h^2 (accelerated) or lam = h
     (plain); one step is taken from a state matched to the trajectory
-    point (x0, v0) as described in the module docstring, and the error
+    point x0 (with a fixed generic velocity v0 in accelerated mode) as
+    described in the module docstring, and the error
     ||x_step - x(t+h)|| is fitted on log-log axes.  The largest steps are
     dropped above 0.1/sqrt(L) when a Lipschitz estimate is available,
     where higher-order terms would pollute the fit.  First-order methods
@@ -237,11 +234,10 @@ def local_error_order(
         if len(kept) >= 3:
             h_values = kept
 
-    accelerated = schedule is not None and schedule.accelerated
-    if accelerated and v0 is None:
-        # Deterministic, generic direction; avoid anything proportional to
-        # grad F(x0), which could cancel the leading error term.
-        v0 = np.cos(1.0 + np.arange(x0.size)).reshape(x0.shape)
+    accelerated = schedule.accelerated
+    # Deterministic, generic velocity; avoid anything proportional to
+    # grad F(x0), which could cancel the leading error term.
+    v0 = np.cos(1.0 + np.arange(x0.size)).reshape(x0.shape) if accelerated else None
     step_fn = METHODS[method][0]
     c = -problem.g.grad(x0)     # the matched balance coefficient
 

@@ -59,13 +59,14 @@ def prox_nuclear(x: Element, tau: float) -> Element:
     return (u * np.maximum(s - tau, 0.0)) @ vt
 
 
-def grad_check(w, x: Element, step: float = 1e-6) -> float:
+def grad_check(w, x: Element) -> float:
     """Max relative deviation of ``w.grad`` from central finite differences.
 
-    Central differences with the default step balance truncation and
-    roundoff at float64 precision.  The deviation is measured per entry
-    as |g_i - fd_i| / (1 + |g_i|).
+    Central differences with step 1e-6 balance truncation and roundoff at
+    float64 precision.  The deviation is measured per entry as
+    |g_i - fd_i| / (1 + |g_i|).
     """
+    step = 1e-6
     x = np.asarray(x, dtype=np.float64)
     g = w.grad(x)
     fd = np.empty_like(x)

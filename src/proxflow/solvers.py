@@ -18,13 +18,14 @@ Momentum enters only through the extrapolated point
 
     xhat_k = x_k + gamma_k * (x_k - x_{k-1}),
 
-so with ``NoDamping`` every step reproduces its classical fixed-point
-iteration exactly.  In accelerated mode the step scale is h = sqrt(lam);
-in plain mode h = lam.
+so with ``NoDamping``, the default, every step reproduces its classical
+fixed-point iteration exactly.  In accelerated mode the step scale is
+h = sqrt(lam); in plain mode h = lam.
 
-``METHODS`` maps each method name to its step, the terms it needs and
-the terms it needs absent; every check of a (method, problem) pairing
-reads it.
+Each step stores its own fixed-point residual and first prox output on
+the state, so the run loop never asks which method ran.  ``METHODS`` maps
+each method name to its step, the terms it needs and the terms it needs
+absent; every check of a (method, problem) pairing reads it.
 """
 
 from __future__ import annotations
@@ -86,13 +87,13 @@ class StepConfig:
     """
 
     lam: float
-    schedule: Schedule | None = None
+    schedule: Schedule = NoDamping()
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ParameterError(f"lam must be > 0, got {self.lam}")
         if self.schedule is None:
-            object.__setattr__(self, "schedule", NoDamping())
+            raise ParameterError("schedule is None; pass NoDamping() for no momentum")
 
     @property
     def h(self) -> float:
@@ -106,8 +107,10 @@ class SolverState:
     ``estimate`` is the output of the backward (prox-g) pass, the natural
     solution estimate: it is feasible whenever g is an indicator and it
     converges to the minimizer also for the Davis-Yin family, whose raw
-    fixed-point variable ``x`` does not.  ``last_half`` retains the
-    intermediate point x_{k+1/2} for residual bookkeeping.
+    fixed-point variable ``x`` does not.  ``last_half`` is the step's
+    first prox output (x_{k+1/4} = prox_f(xhat_k) for the three-operator
+    step, x_{k+1/2} for the other two) and ``residual`` its fixed-point
+    residual (NaN at k = 0).
     """
 
     x: Element
@@ -117,6 +120,7 @@ class SolverState:
     k: int
     last_half: Element | None = None
     estimate: Element | None = None
+    residual: float = math.nan
 
 
 def initial_state(x0: Element) -> SolverState:
@@ -125,13 +129,13 @@ def initial_state(x0: Element) -> SolverState:
     return SolverState(x=x0, x_prev=x0, x_hat=x0, c=np.zeros_like(x0), k=0, estimate=x0)
 
 
-def _advance(state: SolverState, x_next: Element, cfg: StepConfig, *, c, last_half, estimate):
+def _advance(state, x_next, cfg, *, c, last_half, estimate, residual) -> SolverState:
     k1 = state.k + 1
     g = damping.gamma(cfg.schedule, k1, cfg.h)
     x_hat1 = damping.extrapolate(x_next, state.x, g)
     return SolverState(
         x=x_next, x_prev=state.x, x_hat=x_hat1, c=c, k=k1,
-        last_half=last_half, estimate=estimate,
+        last_half=last_half, estimate=estimate, residual=residual,
     )
 
 
@@ -142,9 +146,10 @@ def step_admm(state: SolverState, problem: Problem, cfg: StepConfig) -> SolverSt
     x_{k+1}   = prox_g(x_{k+1/2} - lam*c_k)
     c_{k+1}   = c_k + (x_{k+1} - x_{k+1/2}) / lam
 
-    Momentum extrapolates the primal iterate only; the coefficient c (the
-    dual variable) is never extrapolated, unlike "fast" ADMM variants
-    that accelerate the multiplier update as well.
+    The residual is ||x_{k+1} - x_{k+1/2}|| + ||x_{k+1} - x_k||.  Momentum
+    extrapolates the primal iterate only; the coefficient c (the dual
+    variable) is never extrapolated, unlike "fast" ADMM variants that
+    accelerate the multiplier update as well.
     """
     check_method("admm", problem)
     lam = cfg.lam
@@ -153,7 +158,8 @@ def step_admm(state: SolverState, problem: Problem, cfg: StepConfig) -> SolverSt
     x_half = problem.prox_f(xh - lam * problem.grad_w(xh) + lam * c, lam)
     x_next = problem.prox_g(x_half - lam * c, lam)
     c_next = c + (x_next - x_half) / lam
-    return _advance(state, x_next, cfg, c=c_next, last_half=x_half, estimate=x_next)
+    return _advance(state, x_next, cfg, c=c_next, last_half=x_half, estimate=x_next,
+                    residual=space.norm(x_next - x_half) + space.norm(x_next - state.x))
 
 
 def step_davis_yin(state: SolverState, problem: Problem, cfg: StepConfig) -> SolverState:
@@ -163,6 +169,9 @@ def step_davis_yin(state: SolverState, problem: Problem, cfg: StepConfig) -> Sol
     x_{k+1/2} = 2*x_{k+1/4} - xhat_k
     x_{k+3/4} = prox_g(x_{k+1/2} - lam*grad_w(x_{k+1/4}))
     x_{k+1}   = xhat_k + x_{k+3/4} - x_{k+1/4}
+
+    The residual is ||x_{k+1} - xhat_k|| = ||xhat_k - P(xhat_k)|| for the
+    map P of :func:`dy_fixed_point_operator`.
     """
     check_method("dy", problem)
     lam = cfg.lam
@@ -171,7 +180,8 @@ def step_davis_yin(state: SolverState, problem: Problem, cfg: StepConfig) -> Sol
     x_half = 2.0 * x_q - xh
     x_tq = problem.prox_g(x_half - lam * problem.grad_w(x_q), lam)
     x_next = xh + x_tq - x_q
-    return _advance(state, x_next, cfg, c=state.c, last_half=x_half, estimate=x_tq)
+    return _advance(state, x_next, cfg, c=state.c, last_half=x_q, estimate=x_tq,
+                    residual=space.norm(x_next - xh))
 
 
 def step_tseng(state: SolverState, problem: Problem, cfg: StepConfig) -> SolverState:
@@ -179,6 +189,8 @@ def step_tseng(state: SolverState, problem: Problem, cfg: StepConfig) -> SolverS
 
     x_{k+1/2} = prox_g(xhat_k - lam*grad_w(xhat_k))
     x_{k+1}   = x_{k+1/2} - lam*(grad_w(x_{k+1/2}) - grad_w(xhat_k))
+
+    The residual is ||x_{k+1} - xhat_k||.
     """
     check_method("tseng", problem)
     lam = cfg.lam
@@ -186,7 +198,8 @@ def step_tseng(state: SolverState, problem: Problem, cfg: StepConfig) -> SolverS
     gw_hat = problem.grad_w(xh)
     x_half = problem.prox_g(xh - lam * gw_hat, lam)
     x_next = x_half - lam * (problem.grad_w(x_half) - gw_hat)
-    return _advance(state, x_next, cfg, c=state.c, last_half=x_half, estimate=x_half)
+    return _advance(state, x_next, cfg, c=state.c, last_half=x_half, estimate=x_half,
+                    residual=space.norm(x_next - xh))
 
 
 # Every method by name: its step, the terms it needs and the terms that
@@ -236,14 +249,6 @@ def dy_fixed_point_operator(problem: Problem, lam: float, x: Element) -> Element
     return 0.5 * x + 0.5 * c_g - 0.5 * w_q
 
 
-def _trace_residual(method: str, prev: SolverState, new: SolverState) -> float:
-    # One DY/Tseng step evaluates the fixed-point map at xhat_k, so
-    #   ||xhat_k - x_{k+1}|| = ||xhat_k - Phi(xhat_k)||  comes for free.
-    if method == "admm":
-        return space.norm(new.x - new.last_half) + space.norm(new.x - prev.x)
-    return space.norm(new.x - prev.x_hat)
-
-
 # ---------------------------------------------------------------------------
 # stopping rules
 
@@ -262,17 +267,17 @@ def stop_on_residual(tol: float = 1e-10) -> StopRule:
 def stop_on_estimate_change(tol: float = 1e-10) -> StopRule:
     """Stop once the solution estimate moves by <= tol in relative terms.
 
-    Stateful: construct a fresh rule for every run.
+    The rule remembers the previous estimate and forgets it at each run's
+    first step (k = 1), so one rule may serve several runs.
     """
     prev: list[Element | None] = [None]
 
     def rule(state: SolverState, resid: float) -> bool:
-        cur = state.estimate
-        last, prev[0] = prev[0], cur
+        last, prev[0] = (None if state.k == 1 else prev[0]), state.estimate
         if last is None:
             return False
         denom = space.norm(last)
-        delta = space.norm(cur - last)
+        delta = space.norm(state.estimate - last)
         return delta <= tol * denom if denom > 0 else delta <= tol
 
     return rule
@@ -287,22 +292,26 @@ class Trace:
 
     ``objectives`` holds F evaluated at the solution estimate (equal to
     x_k for the balance-coefficient and forward-backward methods); NaN
-    when the objective is unavailable or recording was disabled.  The
-    residual at row 0 is NaN (no step has been taken).
+    when the objective is unavailable or recording was disabled.
+    ``residuals`` holds each step's own fixed-point residual; row 0 is NaN
+    (no step has been taken).  Row k is iteration k, so ``ks`` is 0..n-1.
     """
 
-    ks: np.ndarray
     objectives: np.ndarray
     residuals: np.ndarray
     times: np.ndarray
     status: str
 
     def __len__(self) -> int:
-        return len(self.ks)
+        return len(self.objectives)
+
+    @property
+    def ks(self) -> np.ndarray:
+        return np.arange(len(self), dtype=np.int64)
 
     @property
     def iterations(self) -> int:
-        return len(self.ks) - 1
+        return len(self) - 1
 
 
 def run(
@@ -324,7 +333,8 @@ def run(
         "dr" and "fb" validate the corresponding reduction (w or f
         absent) and then run the three-operator step.
     stop : callable (state, residual) -> bool, optional
-        Checked after every step; ``None`` runs the full budget.
+        Checked after every step with the step's own ``state.residual``;
+        ``None`` runs the full budget.
     max_iters : int
         Step budget, must be >= 1.
     callback : callable, optional
@@ -344,7 +354,6 @@ def run(
     step_fn = METHODS[method][0]
     state = initial_state(x0)
 
-    ks = [0]
     objectives = [_objective(problem, state, record_objective)]
     residuals = [math.nan]
     start = time.perf_counter()
@@ -352,12 +361,9 @@ def run(
     status = "max-iters"
 
     for _ in range(max_iters):
-        prev = state
         state = step_fn(state, problem, cfg)
-        resid = _trace_residual(method, prev, state)
-        ks.append(state.k)
         objectives.append(_objective(problem, state, record_objective))
-        residuals.append(resid)
+        residuals.append(state.residual)
         times.append(time.perf_counter() - start)
         if callback is not None:
             callback(state)
@@ -365,12 +371,11 @@ def run(
         if not math.isfinite(xnorm) or xnorm > DIVERGENCE_NORM:
             status = "diverged"
             break
-        if stop is not None and stop(state, resid):
+        if stop is not None and stop(state, state.residual):
             status = "converged"
             break
 
     trace = Trace(
-        ks=np.asarray(ks, dtype=np.int64),
         objectives=np.asarray(objectives, dtype=np.float64),
         residuals=np.asarray(residuals, dtype=np.float64),
         times=np.asarray(times, dtype=np.float64),

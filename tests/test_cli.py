@@ -289,3 +289,42 @@ def test_config_values_are_typed_by_the_flag_table(tmp_path, capsys):
 
     assert cli.main(["lasso", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
     assert "unknown config keys for lasso: ['anneal']" in capsys.readouterr().err
+
+
+def test_unwritable_outdir_fails_before_any_solver_work(tmp_path, monkeypatch, capsys):
+    from proxflow import experiments
+
+    ran = []
+    monkeypatch.setattr(experiments, "run_lasso_suite", lambda cfg: ran.append(cfg))
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    code = cli.main(["lasso", "--seeds", "1", "--variants", "fb",
+                     "--outdir", str(blocker / "out")])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not ran
+    assert err.startswith("proxflow: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line,key", [
+    ("anneal = on", "anneal"),
+    ("paper_scale = maybe", "paper_scale"),
+    ("max_iters = ten", "max_iters"),
+    ("seeds = 0,one", "seeds"),
+])
+def test_config_bad_value_names_key_and_file(tmp_path, capsys, line, key):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(f"variants = dy\n{line}\n")
+    code = cli.main(["matcomp", "--config", str(cfg), "--outdir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"proxflow: error: {cfg}: bad {key} = ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_config_booleans_accept_no(tmp_path, capsys):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("seeds = 0\nvariants = dy\nmax_iters = 5\nanneal = no\npaper_scale = 0\n")
+    assert cli.main(["matcomp", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
+    assert (tmp_path / "matcomp-single-aggregate.csv").exists()
+    assert not list(tmp_path.glob("*stages*"))

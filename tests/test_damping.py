@@ -71,7 +71,6 @@ def test_constant_in_unit_interval_and_flat():
 def test_none_schedule_is_zero_everywhere():
     for k in (0, 1, 17):
         for h in (1e-3, 0.5, 2.0):
-            assert damping.gamma(None, k, h) == 0.0
             assert damping.gamma(NoDamping(), k, h) == 0.0
 
 

@@ -273,13 +273,13 @@ def test_lasso_final_objectives_respect_reference_floor():
     # the reference value is a certified lower envelope up to oracle
     # tolerance: no variant's final objective may undercut it
     from proxflow.solvers import StepConfig, run, stop_on_residual
-    from proxflow.damping import ConstantDamping
+    from proxflow.damping import ConstantDamping, NoDamping
 
     inst = gen_lasso(25, 80, seed=1)
     ref = reference_solution(inst, tol=1e-12)
     for family in ("admm", "dr", "fb", "tseng"):
         problem = experiments.lasso_problem(inst, family)
-        for schedule in (None, ConstantDamping(0.5)):
+        for schedule in (NoDamping(), ConstantDamping(0.5)):
             state, trace = run(family, problem, StepConfig(lam=0.1, schedule=schedule),
                                np.zeros(80), stop=stop_on_residual(1e-10),
                                max_iters=100_000)

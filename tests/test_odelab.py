@@ -7,7 +7,7 @@ import pytest
 
 from conftest import quadratic_problem, quadratic_triple
 from proxflow import prox
-from proxflow.damping import ConstantDamping, DecayingDamping
+from proxflow.damping import ConstantDamping, DecayingDamping, NoDamping
 from proxflow.errors import NumericalError, ParameterError
 from proxflow.odelab import (
     AcceleratedFlow,
@@ -219,7 +219,8 @@ def test_local_error_order_plain(method):
     problem = quadratic_problem(seed=7)
     if method == "fb":
         problem = Problem(g=problem.g, w=problem.w)
-    fit = local_error_order(method, problem, None, H_GRID, x0=np.array([1.2, -0.7, 0.4]))
+    fit = local_error_order(method, problem, NoDamping(), H_GRID,
+                            x0=np.array([1.2, -0.7, 0.4]))
     assert 1.8 <= fit.slope <= 2.2
 
 
@@ -255,7 +256,7 @@ def test_local_error_order_oracle_resolution_insensitive():
 def test_local_error_order_degenerate_grid_rejected():
     problem = quadratic_problem(seed=7)
     with pytest.raises(ParameterError):
-        local_error_order("dy", problem, None, [1e-3, 2e-3], x0=np.zeros(3))
+        local_error_order("dy", problem, NoDamping(), [1e-3, 2e-3], x0=np.zeros(3))
 
 
 @pytest.mark.parametrize("name", list(rate_cases()))

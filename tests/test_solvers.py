@@ -5,7 +5,7 @@ import pytest
 
 from conftest import centered_quadratic_problem, quadratic_problem
 from proxflow import prox, space
-from proxflow.damping import ConstantDamping, DecayingDamping
+from proxflow.damping import ConstantDamping, DecayingDamping, NoDamping
 from proxflow.errors import ConfigurationError, ParameterError
 from proxflow.experiments import gen_lasso, lasso_problem
 from proxflow.solvers import (
@@ -20,6 +20,7 @@ from proxflow.solvers import (
     step_admm,
     step_davis_yin,
     step_tseng,
+    stop_on_estimate_change,
     stop_on_residual,
 )
 
@@ -55,6 +56,13 @@ def test_step_tseng_rejects_f(rng):
                 w=prox.Quadratic(np.eye(3)))
     with pytest.raises(ConfigurationError):
         step_tseng(state, p, cfg)
+
+
+def test_step_config_rejects_none_schedule():
+    # NoDamping() is the one way to ask for no momentum
+    with pytest.raises(ParameterError, match="NoDamping"):
+        StepConfig(lam=0.1, schedule=None)
+    assert StepConfig(lam=0.1).schedule == NoDamping()
 
 
 def test_step_config_h_derivation():
@@ -288,6 +296,8 @@ def test_run_trace_shapes_and_initial_row():
     assert len(trace.ks) == len(trace.objectives) == len(trace.residuals) == len(trace.times)
     assert trace.ks[0] == 0 and math.isnan(trace.residuals[0])
     assert trace.iterations == 11
+    assert trace.ks.dtype == np.int64
+    np.testing.assert_array_equal(trace.ks, np.arange(12))
 
 
 def test_run_converges_to_reference_on_lasso():
@@ -318,7 +328,7 @@ def test_accelerated_admm_constant_beats_plain():
         assert trace.status == "converged"
         return trace.iterations
 
-    assert iters_to_target(ConstantDamping(0.5)) < iters_to_target(None)
+    assert iters_to_target(ConstantDamping(0.5)) < iters_to_target(NoDamping())
 
 
 def test_divergence_guard_reports_diverged():
@@ -377,3 +387,88 @@ def test_every_method_with_none_schedule_matches_gamma_zero(rng):
     for step in (step_admm, step_davis_yin):
         new = step(state, problem, cfg)
         assert new.x_hat is new.x              # extrapolate returned x itself
+
+
+# ---------------------------------------------------------------------------
+# residuals and prox outputs owned by the steps
+
+
+def _method_problem(method):
+    """The quadratic triple, less the terms ``method`` needs absent."""
+    p = quadratic_problem(seed=7)
+    _, _, absent = METHODS[method]
+    return Problem(f=None if "f" in absent else p.f, g=p.g, w=None if "w" in absent else p.w)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+@pytest.mark.parametrize("schedule", [NoDamping(), ConstantDamping(1.0)],
+                         ids=["plain", "momentum"])
+def test_trace_residuals_match_the_per_method_formula(method, schedule):
+    # bit for bit the formula the run loop used to apply from outside the
+    # step: ADMM ||x+ - x_half|| + ||x+ - x||, the others ||x+ - xhat||
+    problem = _method_problem(method)
+    states = [initial_state(np.array([1.2, -0.7, 0.4]))]
+    _, trace = run(method, problem, StepConfig(lam=0.3, schedule=schedule), states[0].x,
+                   max_iters=25, callback=states.append)
+    expected = [math.nan]
+    for prev, new in zip(states, states[1:]):
+        if method == "admm":
+            expected.append(space.norm(new.x - new.last_half) + space.norm(new.x - prev.x))
+        else:
+            expected.append(space.norm(new.x - prev.x_hat))
+    np.testing.assert_array_equal(trace.residuals, expected)
+    np.testing.assert_array_equal(trace.residuals[1:], [st.residual for st in states[1:]])
+    assert math.isnan(states[0].residual)
+
+
+def test_davis_yin_last_half_is_prox_f_of_xhat(rng):
+    problem = quadratic_problem(seed=7)
+    lam = 0.3
+    for _ in range(20):
+        x, x_prev = rng.standard_normal(3), rng.standard_normal(3)
+        state = SolverState(x=x, x_prev=x_prev, x_hat=x + 0.4 * (x - x_prev),
+                            c=np.zeros(3), k=3)
+        new = step_davis_yin(state, problem, StepConfig(lam=lam))
+        np.testing.assert_array_equal(new.last_half, problem.f.prox(state.x_hat, lam))
+
+
+# ---------------------------------------------------------------------------
+# stop_on_estimate_change
+
+
+def _at(k, estimate):
+    x = np.asarray(estimate, dtype=float)
+    return SolverState(x=x, x_prev=x, x_hat=x, c=np.zeros_like(x), k=k, estimate=x)
+
+
+def test_estimate_change_rule_fresh():
+    rule = stop_on_estimate_change(1e-10)
+    assert not rule(_at(1, [1.0, 2.0]), math.nan)          # nothing to compare yet
+    assert not rule(_at(2, [1.0, 2.1]), math.nan)          # moved
+    assert rule(_at(3, [1.0, 2.1 + 1e-12]), math.nan)      # relative move below tol
+
+
+def test_estimate_change_rule_zero_denominator_is_absolute():
+    rule = stop_on_estimate_change(1e-10)
+    assert not rule(_at(1, [0.0, 0.0]), math.nan)
+    assert rule(_at(2, [1e-11, 0.0]), math.nan)            # |delta| <= tol from zero
+    rule = stop_on_estimate_change(1e-10)
+    rule(_at(1, [0.0, 0.0]), math.nan)
+    assert not rule(_at(2, [1e-9, 0.0]), math.nan)
+
+
+def test_estimate_change_rule_reused_across_runs():
+    # a rule that has seen a run forgets it at the next run's first step:
+    # a warm-started run stops exactly where it does with a fresh rule
+    # (forward-backward's estimate is its iterate, so the warm start sits
+    # within tol of the last estimate the rule saw)
+    problem = _method_problem("fb")
+    cfg = StepConfig(lam=0.3)
+    shared = stop_on_estimate_change(1e-10)
+    first, _ = run("fb", problem, cfg, np.array([1.2, -0.7, 0.4]), stop=shared,
+                   max_iters=10_000)
+    _, reused = run("fb", problem, cfg, first.estimate, stop=shared, max_iters=10_000)
+    _, fresh = run("fb", problem, cfg, first.estimate, stop=stop_on_estimate_change(1e-10),
+                   max_iters=10_000)
+    assert reused.iterations == fresh.iterations >= 2
+    np.testing.assert_array_equal(reused.residuals, fresh.residuals)
