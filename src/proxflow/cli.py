@@ -107,7 +107,8 @@ def cmd_solve(args) -> int:
     out = args.outdir / (
         f"solve-{args.instance}-{args.method}-{args.damping}-seed{args.seed}.csv"
     )
-    csvio.write_trace_csv(trace, out)
+    csvio.write_rows(out, "trace", zip(trace.ks.tolist(), trace.objectives.tolist(),
+                                       trace.residuals.tolist(), trace.times.tolist()))
     obj = trace.objectives[-1]
     print(f"status={trace.status} iterations={trace.iterations} "
           f"objective={obj:.12g} residual={trace.residuals[-1]:.3e}")
@@ -126,7 +127,7 @@ def cmd_order_check(args) -> int:
         print(f"order fit failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     out = args.outdir / f"order-{args.method}-{args.damping}.csv"
-    csvio.write_order_csv(fit, out)
+    csvio.write_rows(out, "order", zip(fit.hs.tolist(), fit.errors.tolist()))
     print(f"slope={fit.slope:.4f} intercept={fit.intercept:.4f} "
           f"r_squared={fit.r_squared:.6f}")
     print(f"fit data written to {out}")
@@ -141,7 +142,7 @@ def cmd_rates(args) -> int:
         rows.append((name, case.predicted, fit.exponent, fit.r_squared))
         out_of_band |= not case.in_band(fit.exponent)
     out = args.outdir / "rates.csv"
-    csvio.write_rates_csv(rows, out)
+    csvio.write_rows(out, "rates", rows)
     for name, predicted, fitted, r2 in rows:
         print(f"{name}: predicted={predicted:+.3f} fitted={fitted:+.4f} r2={r2:.5f}")
     print(f"rate fits written to {out}")
@@ -165,11 +166,16 @@ def _write_report(report, outdir: Path, prefix: str, stages: bool = False) -> in
     """Write a suite's series, aggregate and (with ``stages``) stage CSVs
     under ``prefix`` and print one line per run."""
     for rec in report.records:
-        csvio.write_series_csv(rec.errors, outdir / f"{prefix}-{rec.variant}-seed{rec.seed}.csv")
+        csvio.write_rows(outdir / f"{prefix}-{rec.variant}-seed{rec.seed}.csv", "series",
+                         ((k, float(e)) for k, e in enumerate(rec.errors)))
     aggregate = outdir / f"{prefix}-aggregate.csv"
-    csvio.write_aggregate_csv(report.summaries(), aggregate)
+    csvio.write_rows(aggregate, "aggregate", (
+        (s.variant, s.mean_iters, s.std_iters, s.mean_final_error, s.std_final_error)
+        for s in report.summaries()))
     if stages:
-        csvio.write_stages_csv(report.records, outdir / f"{prefix}-stages.csv")
+        csvio.write_rows(outdir / f"{prefix}-stages.csv", "stages", (
+            (rec.variant, rec.seed, st.stage, st.alpha, st.iterations, st.final_error)
+            for rec in report.records for st in rec.stages or []))
     for rec in report.records:
         rank = "" if rec.rank is None else f" rank={rec.rank}"
         print(f"{rec.variant} seed={rec.seed}: iters={rec.iterations} "
@@ -224,23 +230,18 @@ def _suite_flags(command: str) -> dict:
     return {k: v for k, v in _SUITE_FLAGS.items() if k != "anneal" or command == "matcomp"}
 
 
-def load_config(path) -> dict[str, str]:
-    """Parse a ``key = value`` config file; '#' starts a comment."""
+def _apply_config(args) -> None:
+    """Read a ``key = value`` config file ('#' starts a comment) into ``args``."""
+    readers = {k: read for k, (read, _) in _suite_flags(args.command).items() if read}
     data: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(args.config).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ParameterError(f"{args.config}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         data[key] = value
-    return data
-
-
-def _apply_config(args) -> None:
-    readers = {k: read for k, (read, _) in _suite_flags(args.command).items() if read}
-    data = load_config(args.config)
     unknown = set(data) - set(readers)
     if unknown:
         raise ParameterError(

@@ -1,4 +1,4 @@
-"""Versioned CSV writers shared by the CLI and the experiment suites.
+"""Versioned CSV writer shared by the CLI and the experiment suites.
 
 Every file starts with a schema comment line (``# <schema>``) followed
 by a column header; schema strings only change with a version bump.
@@ -11,12 +11,16 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-TRACE_SCHEMA = "proxflow-trace-v1"          # k,objective,residual,time_s
-SERIES_SCHEMA = "proxflow-series-v1"        # k,rel_error
-AGGREGATE_SCHEMA = "proxflow-aggregate-v1"  # variant,mean_iters,std_iters,mean_final_error,std_final_error
-ORDER_SCHEMA = "proxflow-order-v1"          # h,error
-RATES_SCHEMA = "proxflow-rates-v1"          # case,predicted,fitted,r_squared
-STAGES_SCHEMA = "proxflow-stages-v1"        # variant,seed,stage,alpha,iterations,final_error
+# kind -> (schema string, column header); the one table of file formats
+SCHEMAS = {
+    "trace": ("proxflow-trace-v1", "k,objective,residual,time_s"),
+    "series": ("proxflow-series-v1", "k,rel_error"),
+    "aggregate": ("proxflow-aggregate-v1",
+                  "variant,mean_iters,std_iters,mean_final_error,std_final_error"),
+    "order": ("proxflow-order-v1", "h,error"),
+    "rates": ("proxflow-rates-v1", "case,predicted,fitted,r_squared"),
+    "stages": ("proxflow-stages-v1", "variant,seed,stage,alpha,iterations,final_error"),
+}
 
 
 def _fmt(x) -> str:
@@ -33,47 +37,10 @@ def atomic_write_text(path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_rows(path, schema: str, header: list[str], rows) -> None:
-    lines = [f"# {schema}", ",".join(header)]
+def write_rows(path, kind: str, rows) -> None:
+    """Write ``rows`` under the schema line and header of ``SCHEMAS[kind]``."""
+    schema, header = SCHEMAS[kind]
+    lines = [f"# {schema}", header]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def write_trace_csv(trace, path) -> None:
-    rows = zip(trace.ks.tolist(), trace.objectives.tolist(),
-               trace.residuals.tolist(), trace.times.tolist())
-    write_rows(path, TRACE_SCHEMA, ["k", "objective", "residual", "time_s"], rows)
-
-
-def write_series_csv(errors, path) -> None:
-    write_rows(path, SERIES_SCHEMA, ["k", "rel_error"],
-               ((k, float(e)) for k, e in enumerate(errors)))
-
-
-def write_aggregate_csv(summaries, path) -> None:
-    write_rows(
-        path, AGGREGATE_SCHEMA,
-        ["variant", "mean_iters", "std_iters", "mean_final_error", "std_final_error"],
-        ((s.variant, s.mean_iters, s.std_iters, s.mean_final_error, s.std_final_error)
-         for s in summaries),
-    )
-
-
-def write_order_csv(fit, path) -> None:
-    write_rows(path, ORDER_SCHEMA, ["h", "error"],
-               zip(fit.hs.tolist(), fit.errors.tolist()))
-
-
-def write_rates_csv(rows, path) -> None:
-    write_rows(path, RATES_SCHEMA, ["case", "predicted", "fitted", "r_squared"], rows)
-
-
-def write_stages_csv(records, path) -> None:
-    rows = []
-    for rec in records:
-        for st in rec.stages or []:
-            rows.append((rec.variant, rec.seed, st.stage, st.alpha,
-                         st.iterations, st.final_error))
-    write_rows(path, STAGES_SCHEMA,
-               ["variant", "seed", "stage", "alpha", "iterations", "final_error"], rows)

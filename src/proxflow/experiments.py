@@ -415,7 +415,7 @@ def lasso_problem(instance: LassoInstance, family: str) -> Problem:
     return Problem(f=quad, g=l1, w=None)
 
 
-def run_lasso_suite(cfg: LassoConfig | None = None) -> RunReport:
+def run_lasso_suite(cfg: LassoConfig) -> RunReport:
     """Run the configured variants on each seed's instance.
 
     Each run stops when |F_k - F*| / F* falls below ``cfg.target`` (F
@@ -425,7 +425,6 @@ def run_lasso_suite(cfg: LassoConfig | None = None) -> RunReport:
     per-record error series backs iteration-count comparisons across
     variants.
     """
-    cfg = cfg or LassoConfig()
     records = []
     for seed in cfg.seeds:
         instance = cfg.instance(seed)
@@ -503,7 +502,7 @@ def _estimate_rank(low_rank_estimate: Element) -> int:
     return int(np.sum(svals > 1e-6 * svals[0]))
 
 
-def run_matcomp_suite(cfg: MatCompConfig | None = None, mode: str = "single") -> RunReport:
+def run_matcomp_suite(cfg: MatCompConfig, mode: str = "single") -> RunReport:
     """Run the completion study in single-weight or annealing mode.
 
     Every run starts from the observed matrix, stops on a 1e-10 relative
@@ -514,7 +513,6 @@ def run_matcomp_suite(cfg: MatCompConfig | None = None, mode: str = "single") ->
     (singular values above 1e-6 of the largest) is that of the final
     step's nuclear-prox output, ``state.last_half``, for both families.
     """
-    cfg = cfg or MatCompConfig()
     if mode not in ("single", "anneal"):
         raise ConfigurationError(f"mode must be 'single' or 'anneal', got {mode!r}")
     r_constant = cfg.r_constant_single if mode == "single" else cfg.r_constant_anneal

@@ -29,7 +29,6 @@ the lab are made for smooth instances only.
 
 from __future__ import annotations
 
-from .damping import NoDamping, Schedule
 from .errors import ParameterError
 from .solvers import Problem, SolverState, StepConfig, step_davis_yin
 from .space import Element
@@ -59,22 +58,12 @@ class _YosidaResolvent:
         return resolvent_of_yosida(self.A, lam, self.mu, v)
 
 
-def step_dy_regularized(
-    state: SolverState,
-    A,
-    B,
-    C,
-    lam: float,
-    mu: float,
-    schedule: Schedule = NoDamping(),
-) -> SolverState:
-    """One three-operator step on the mu-regularized inclusion 0 in (A+B+C)x.
+def step_dy_regularized(state: SolverState, A, B, C, lam: float, mu: float) -> SolverState:
+    """One undamped three-operator step on the mu-regularized inclusion 0 in (A+B+C)x.
 
     A and B enter through :func:`resolvent_of_yosida` (None means the
     zero operator), C is a single-valued term with a ``grad`` method
-    (None means zero).  The extrapolation follows the same
-    xhat_{k+1} = x_{k+1} + gamma_{k+1}*(x_{k+1} - x_k) convention as the
-    smooth solvers, with the step scale of :class:`StepConfig`.
+    (None means zero).
     """
     problem = Problem(f=_YosidaResolvent(A, mu), g=_YosidaResolvent(B, mu), w=C)
-    return step_davis_yin(state, problem, StepConfig(lam=lam, schedule=schedule))
+    return step_davis_yin(state, problem, StepConfig(lam=lam))

@@ -156,15 +156,6 @@ class OrderFit:
     r_squared: float
 
 
-def _fit_loglog(hs, errors) -> OrderFit:
-    hs = np.asarray(hs, dtype=np.float64)
-    errors = np.asarray(errors, dtype=np.float64)
-    if len(hs) < 3:
-        raise ParameterError(f"need at least 3 points for an order fit, got {len(hs)}")
-    slope, intercept, r2 = _line_fit(np.log10(hs), np.log10(errors))
-    return OrderFit(hs=hs, errors=errors, slope=slope, intercept=intercept, r_squared=r2)
-
-
 def _line_fit(x, y) -> tuple[float, float, float]:
     """Least-squares line y ~ slope*x + intercept and its r^2; centres x, y in place."""
     if len(x) < 2:
@@ -225,6 +216,8 @@ def local_error_order(
     check_method(method, problem)
     x0 = as_element(x0, "x0")
     h_values = sorted(float(h) for h in h_values)
+    if len(h_values) < 3:
+        raise ParameterError(f"need at least 3 points for an order fit, got {len(h_values)}")
     if math.log10(h_values[-1] / h_values[0]) < 1.5 - 1e-9:
         raise ParameterError("h_values must span at least 1.5 decades")
     total = total_gradient(problem)
@@ -258,7 +251,9 @@ def local_error_order(
         ref = reference_trajectory(flow, x0, v0, t0=t_start, T=t_start + h,
                                    steps=rk_substeps)
         errors.append(norm(new.x - ref.xs[-1]))
-    return _fit_loglog(h_values, errors)
+    hs, errors = np.array(h_values), np.array(errors)
+    slope, intercept, r2 = _line_fit(np.log10(hs), np.log10(errors))
+    return OrderFit(hs=hs, errors=errors, slope=slope, intercept=intercept, r_squared=r2)
 
 
 # ---------------------------------------------------------------------------

@@ -39,26 +39,6 @@ def soft_threshold(v: Element, tau: float) -> Element:
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
-def project_box(x: Element, lo: float, hi: float) -> Element:
-    """Clamp every entry to [lo, hi]."""
-    if lo > hi:
-        raise ParameterError(f"empty box: lo={lo} > hi={hi}")
-    return np.clip(x, lo, hi)
-
-
-def prox_nuclear(x: Element, tau: float) -> Element:
-    """Soft-threshold the singular values of a matrix by ``tau`` (full SVD)."""
-    if tau < 0:
-        raise ParameterError(f"threshold must be >= 0, got {tau}")
-    try:
-        u, s, vt = np.linalg.svd(x, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"SVD failed for matrix of shape {np.shape(x)} (tau={tau}): {exc}"
-        ) from exc
-    return (u * np.maximum(s - tau, 0.0)) @ vt
-
-
 def grad_check(w, x: Element) -> float:
     """Max relative deviation of ``w.grad`` from central finite differences.
 
@@ -189,11 +169,11 @@ class Box:
     def prox(self, v: Element, lam: float) -> Element:
         if lam <= 0:
             raise ParameterError(f"prox parameter must be > 0, got {lam}")
-        return project_box(v, self.lo, self.hi)
+        return np.clip(v, self.lo, self.hi)
 
 
 class Nuclear:
-    """Weighted nuclear norm of a matrix; prox is singular-value shrinkage."""
+    """Weighted nuclear norm of a matrix; prox is singular-value shrinkage (full SVD)."""
 
     def __init__(self, weight: float):
         if weight < 0:
@@ -206,7 +186,14 @@ class Nuclear:
     def prox(self, v: Element, lam: float) -> Element:
         if lam <= 0:
             raise ParameterError(f"prox parameter must be > 0, got {lam}")
-        return prox_nuclear(v, lam * self.weight)
+        tau = lam * self.weight
+        try:
+            u, s, vt = np.linalg.svd(v, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"SVD failed for matrix of shape {np.shape(v)} (tau={tau}): {exc}"
+            ) from exc
+        return (u * np.maximum(s - tau, 0.0)) @ vt
 
 
 class LeastSquares:
@@ -238,7 +225,6 @@ class LeastSquares:
         self._wide = self.A.shape[0] < self.A.shape[1]
         shift = -self.b if self._wide else self.A.T @ self.b
         self._factor = _CholeskyCache(partial(_smaller_gram, self.A), shift)
-        self._lipschitz: float | None = None
 
     def value(self, x: Element) -> float:
         r = self.A @ x - self.b
@@ -248,9 +234,7 @@ class LeastSquares:
         return self.A.T @ (self.A @ x - self.b)
 
     def lipschitz(self) -> float:
-        if self._lipschitz is None:
-            self._lipschitz = gram_spectral_norm(self.A)
-        return self._lipschitz
+        return gram_spectral_norm(self.A)
 
     def prox(self, v: Element, lam: float) -> Element:
         if lam <= 0:
@@ -279,7 +263,6 @@ class Quadratic:
         if self.q.shape != (self.P.shape[0],):
             raise ParameterError(f"q has shape {self.q.shape}, expected ({self.P.shape[0]},)")
         self._factor = _CholeskyCache(self.P.copy, -self.q)
-        self._lipschitz: float | None = None
 
     def value(self, x: Element) -> float:
         return 0.5 * float(x @ (self.P @ x)) + float(self.q @ x)
@@ -288,9 +271,7 @@ class Quadratic:
         return self.P @ x + self.q
 
     def lipschitz(self) -> float:
-        if self._lipschitz is None:
-            self._lipschitz = float(np.max(np.linalg.eigvalsh(self.P)))
-        return self._lipschitz
+        return float(np.max(np.linalg.eigvalsh(self.P)))
 
     def prox(self, v: Element, lam: float) -> Element:
         if lam <= 0:

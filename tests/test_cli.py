@@ -136,9 +136,10 @@ def test_order_check_slope_near_two(tmp_path, capsys, method, damping, r):
     assert len(rows) >= 3
 
 
-def test_order_check_degenerate_fit_exits_three(tmp_path, capsys):
+@pytest.mark.parametrize("points", ["0", "1", "2"])
+def test_order_check_degenerate_fit_exits_three(tmp_path, capsys, points):
     code = cli.main(["order-check", "--method", "fb", "--damping", "none",
-                     "--points", "2", "--outdir", str(tmp_path)])
+                     "--points", points, "--outdir", str(tmp_path)])
     assert code == 3
     assert "order fit failed" in capsys.readouterr().err
 

@@ -268,18 +268,18 @@ def test_quadratic_freed_by_refcount(no_cyclic_gc, rng):
 
 def test_project_box_interior_point():
     x = np.array([0.2, 0.8])
-    np.testing.assert_array_equal(prox.project_box(x, 0.0, 1.0), x)
+    np.testing.assert_array_equal(prox.Box(0.0, 1.0).prox(x, 1.0), x)
 
 
 def test_project_box_clamps():
-    assert prox.project_box(np.array([5.0]), 0.0, 1.0) == pytest.approx([1.0])
+    assert prox.Box(0.0, 1.0).prox(np.array([5.0]), 1.0) == pytest.approx([1.0])
     np.testing.assert_allclose(
-        prox.project_box(np.array([-2.0, 0.5, 3.0]), 0.0, 1.0), [0.0, 0.5, 1.0])
+        prox.Box(0.0, 1.0).prox(np.array([-2.0, 0.5, 3.0]), 1.0), [0.0, 0.5, 1.0])
 
 
 def test_project_box_empty():
     with pytest.raises(ParameterError):
-        prox.project_box(np.zeros(2), 1.0, 0.0)
+        prox.Box(1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +287,18 @@ def test_project_box_empty():
 
 
 def test_prox_nuclear_zero_matrix():
-    np.testing.assert_array_equal(prox.prox_nuclear(np.zeros((3, 2)), 1.0), np.zeros((3, 2)))
+    np.testing.assert_array_equal(prox.Nuclear(1.0).prox(np.zeros((3, 2)), 1.0), np.zeros((3, 2)))
 
 
 def test_prox_nuclear_diagonal():
-    got = prox.prox_nuclear(np.diag([3.0, 1.0]), 2.0)
+    got = prox.Nuclear(1.0).prox(np.diag([3.0, 1.0]), 2.0)
     np.testing.assert_allclose(got, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_prox_nuclear_against_factored_oracle(rng):
     X = rng.standard_normal((6, 4))
     tau = 0.7
-    got = prox.prox_nuclear(X, tau)
+    got = prox.Nuclear(1.0).prox(X, tau)
     _, oracle_val = nuclear_prox_factored(X, tau)
     got_val = nuclear_objective(got, X, tau)
     assert got_val <= oracle_val + 1e-6
@@ -307,7 +307,7 @@ def test_prox_nuclear_against_factored_oracle(rng):
 
 def test_prox_nuclear_singular_values_shrink(rng):
     X = rng.standard_normal((7, 5))
-    out = prox.prox_nuclear(X, 0.4)
+    out = prox.Nuclear(1.0).prox(X, 0.4)
     s_in = np.linalg.svd(X, compute_uv=False)
     s_out = np.linalg.svd(out, compute_uv=False)
     assert np.all(s_out <= s_in + 1e-12)
