@@ -119,6 +119,9 @@ def cmd_solve(args) -> int:
 def cmd_order_check(args) -> int:
     problem = _quad_problem_for(args.method)
     schedule = schedule_for(args.damping, args.r, args.r1, args.r2)
+    for flag, h in (("--h-min", args.h_min), ("--h-max", args.h_max)):
+        if not 0 < h < math.inf:
+            raise ParameterError(f"{flag} must be finite and > 0, got {h}")
     hs = np.logspace(math.log10(args.h_min), math.log10(args.h_max), args.points)
     try:
         fit = odelab.local_error_order(args.method, problem, schedule, hs,
@@ -169,9 +172,7 @@ def _write_report(report, outdir: Path, prefix: str, stages: bool = False) -> in
         csvio.write_rows(outdir / f"{prefix}-{rec.variant}-seed{rec.seed}.csv", "series",
                          ((k, float(e)) for k, e in enumerate(rec.errors)))
     aggregate = outdir / f"{prefix}-aggregate.csv"
-    csvio.write_rows(aggregate, "aggregate", (
-        (s.variant, s.mean_iters, s.std_iters, s.mean_final_error, s.std_final_error)
-        for s in report.summaries()))
+    csvio.write_rows(aggregate, "aggregate", report.summaries())
     if stages:
         csvio.write_rows(outdir / f"{prefix}-stages.csv", "stages", (
             (rec.variant, rec.seed, st.stage, st.alpha, st.iterations, st.final_error)

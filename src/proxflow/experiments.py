@@ -303,21 +303,18 @@ class StageLog:
 class RunRecord:
     variant: str
     seed: int
-    iterations: int
     status: str
     errors: np.ndarray          # per-iteration relative error, row 0 = start
-    final_error: float
     rank: int | None = None
     stages: list[StageLog] | None = None
 
+    @property
+    def iterations(self) -> int:
+        return len(self.errors) - 1
 
-@dataclass(frozen=True)
-class VariantSummary:
-    variant: str
-    mean_iters: float
-    std_iters: float
-    mean_final_error: float
-    std_final_error: float
+    @property
+    def final_error(self) -> float:
+        return float(self.errors[-1])
 
 
 @dataclass(eq=False)
@@ -327,18 +324,15 @@ class RunReport:
     def for_variant(self, variant: str) -> list[RunRecord]:
         return [r for r in self.records if r.variant == variant]
 
-    def summaries(self) -> list[VariantSummary]:
-        out = []
+    def summaries(self):
+        """Aggregate rows per variant: the mean and standard deviation of
+        the iteration counts, then of the final errors."""
         for variant in dict.fromkeys(r.variant for r in self.records):
             rows = self.for_variant(variant)
             iters = np.array([r.iterations for r in rows], dtype=float)
             errs = np.array([r.final_error for r in rows], dtype=float)
-            out.append(VariantSummary(
-                variant=variant,
-                mean_iters=float(iters.mean()), std_iters=float(iters.std()),
-                mean_final_error=float(errs.mean()), std_final_error=float(errs.std()),
-            ))
-        return out
+            yield (variant, float(iters.mean()), float(iters.std()),
+                   float(errs.mean()), float(errs.std()))
 
     def mean_iterations(self, variant: str) -> float:
         rows = self.for_variant(variant)
@@ -438,24 +432,13 @@ def run_lasso_suite(cfg: LassoConfig) -> RunReport:
         f_star = ref.value
         for variant, family, step_cfg in _variant_steps(cfg, LASSO_FAMILIES, cfg.r_constant):
             problem = lasso_problem(instance, family)
-            x0 = np.zeros(cfg.n)
-            # |F - F*| / F* is evaluated once per iteration, in the callback,
-            # which runs before the divergence check and the stop rule
-            errors = [abs(problem.value(x0) - f_star) / f_star]
-
-            def record(state, _p=problem, _e=errors, _f=f_star):
-                _e.append(abs(_p.value(state.estimate) - _f) / _f)
-
-            def gap_rule(state, resid, _e=errors):
-                return _e[-1] <= cfg.target
-
-            state, trace = run(family, problem, step_cfg, x0, stop=gap_rule,
-                               max_iters=cfg.max_iters, callback=record,
-                               record_objective=False)
-            records.append(RunRecord(
-                variant=variant, seed=seed, iterations=trace.iterations,
-                status=trace.status, errors=np.asarray(errors), final_error=errors[-1],
-            ))
+            _, trace = run(
+                family, problem, step_cfg, np.zeros(cfg.n),
+                stop=lambda state, err: err <= cfg.target, max_iters=cfg.max_iters,
+                measure=lambda state: abs(problem.value(state.estimate) - f_star) / f_star,
+            )
+            records.append(RunRecord(variant=variant, seed=seed, status=trace.status,
+                                     errors=trace.objectives))
     return RunReport(records)
 
 
@@ -531,26 +514,24 @@ def run_matcomp_suite(cfg: MatCompConfig, mode: str = "single") -> RunReport:
 
 def _matcomp_run(instance, family, variant, alphas, step_cfg, cfg) -> RunRecord:
     x0 = instance.observed
-    errors = [instance.relative_error(x0)]
+    series = []
     stages = []
-    total_iters = 0
     status = "converged"
     for j, alpha in enumerate(alphas):
-        problem = matcomp_problem(instance, alpha)
-        track = lambda state: errors.append(instance.relative_error(state.estimate))
         state, trace = run(
-            family, problem, step_cfg, x0,
-            stop=stop_on_estimate_change(cfg.stop_tol),
-            max_iters=cfg.max_iters, callback=track, record_objective=False,
+            family, matcomp_problem(instance, alpha), step_cfg, x0,
+            stop=stop_on_estimate_change(cfg.stop_tol), max_iters=cfg.max_iters,
+            measure=lambda state: instance.relative_error(state.estimate),
         )
-        total_iters += trace.iterations
+        # a warm-started stage's row 0 is measured at the previous stage's
+        # last estimate, so it repeats that stage's last row
+        series.append(trace.objectives[1 if series else 0:])
         if trace.status != "converged":
             status = trace.status
         stages.append(StageLog(stage=j, alpha=alpha, iterations=trace.iterations,
-                               final_error=errors[-1]))
+                               final_error=float(trace.objectives[-1])))
         x0 = state.estimate     # warm start for the next weight
     return RunRecord(
-        variant=variant, seed=instance.seed, iterations=total_iters, status=status,
-        errors=np.asarray(errors), final_error=errors[-1],
+        variant=variant, seed=instance.seed, status=status, errors=np.concatenate(series),
         rank=_estimate_rank(state.last_half), stages=stages if len(alphas) > 1 else None,
     )

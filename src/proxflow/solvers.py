@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -258,8 +258,8 @@ StopRule = Callable[[SolverState, float], bool]
 def stop_on_residual(tol: float = 1e-10) -> StopRule:
     """Stop once the per-iteration fixed-point residual drops below ``tol``."""
 
-    def rule(state: SolverState, resid: float) -> bool:
-        return resid <= tol
+    def rule(state: SolverState, value: float) -> bool:
+        return state.residual <= tol
 
     return rule
 
@@ -272,7 +272,7 @@ def stop_on_estimate_change(tol: float = 1e-10) -> StopRule:
     """
     prev: list[Element | None] = [None]
 
-    def rule(state: SolverState, resid: float) -> bool:
+    def rule(state: SolverState, value: float) -> bool:
         last, prev[0] = (None if state.k == 1 else prev[0]), state.estimate
         if last is None:
             return False
@@ -290,9 +290,9 @@ def stop_on_estimate_change(tol: float = 1e-10) -> StopRule:
 class Trace:
     """Per-iteration record of a run; row 0 is the initial point.
 
-    ``objectives`` holds F evaluated at the solution estimate (equal to
-    x_k for the balance-coefficient and forward-backward methods); NaN
-    when the objective is unavailable or recording was disabled.
+    ``objectives`` holds the run's ``measure`` of each state, by default F
+    at the solution estimate (equal to x_k for the balance-coefficient and
+    forward-backward methods), NaN when the objective is unavailable.
     ``residuals`` holds each step's own fixed-point residual; row 0 is NaN
     (no step has been taken).  Row k is iteration k, so ``ks`` is 0..n-1.
     """
@@ -322,8 +322,7 @@ def run(
     *,
     stop: StopRule | None = None,
     max_iters: int = 10000,
-    callback: Optional[Callable[[SolverState], None]] = None,
-    record_objective: bool = True,
+    measure: Callable[[SolverState], float] | None = None,
 ) -> tuple[SolverState, Trace]:
     """Iterate the chosen step from ``x0`` until a stopping rule fires.
 
@@ -332,16 +331,16 @@ def run(
     method : a key of ``METHODS``
         "dr" and "fb" validate the corresponding reduction (w or f
         absent) and then run the three-operator step.
-    stop : callable (state, residual) -> bool, optional
-        Checked after every step with the step's own ``state.residual``;
-        ``None`` runs the full budget.
+    stop : callable (state, value) -> bool, optional
+        Checked after every step with the value ``measure`` returned for
+        that state; ``None`` runs the full budget.
     max_iters : int
         Step budget, must be >= 1.
-    callback : callable, optional
-        Invoked with each new state, e.g. to track custom metrics.
-    record_objective : bool
-        Disable to skip objective evaluations in the trace (useful when
-        the objective itself is expensive, as with a full SVD).
+    measure : callable state -> float, optional
+        Evaluated once per state, the initial one included, before the
+        divergence check; its values form ``trace.objectives``.  The
+        default is F at the solution estimate (NaN when a term has no
+        ``value``).
 
     Returns
     -------
@@ -352,9 +351,13 @@ def run(
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
     check_method(method, problem)
     step_fn = METHODS[method][0]
+    if measure is None:
+        def measure(state):
+            val = problem.value(state.estimate)
+            return math.nan if val is None else val
     state = initial_state(x0)
 
-    objectives = [_objective(problem, state, record_objective)]
+    values = [measure(state)]
     residuals = [math.nan]
     start = time.perf_counter()
     times = [0.0]
@@ -362,30 +365,22 @@ def run(
 
     for _ in range(max_iters):
         state = step_fn(state, problem, cfg)
-        objectives.append(_objective(problem, state, record_objective))
+        value = measure(state)
+        values.append(value)
         residuals.append(state.residual)
         times.append(time.perf_counter() - start)
-        if callback is not None:
-            callback(state)
         xnorm = space.norm(state.x)
         if not math.isfinite(xnorm) or xnorm > DIVERGENCE_NORM:
             status = "diverged"
             break
-        if stop is not None and stop(state, state.residual):
+        if stop is not None and stop(state, value):
             status = "converged"
             break
 
     trace = Trace(
-        objectives=np.asarray(objectives, dtype=np.float64),
+        objectives=np.asarray(values, dtype=np.float64),
         residuals=np.asarray(residuals, dtype=np.float64),
         times=np.asarray(times, dtype=np.float64),
         status=status,
     )
     return state, trace
-
-
-def _objective(problem: Problem, state: SolverState, record: bool) -> float:
-    if not record:
-        return math.nan
-    val = problem.value(state.estimate)
-    return math.nan if val is None else val

@@ -144,6 +144,20 @@ def test_order_check_degenerate_fit_exits_three(tmp_path, capsys, points):
     assert "order fit failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--h-min", "0"), ("--h-min", "-1"), ("--h-max", "0"), ("--h-max", "inf"),
+    ("--h-min", "nan"),
+])
+def test_order_check_rejects_bad_step_range(tmp_path, capsys, flag, value):
+    # named before the fit, not as log10's "math domain error"
+    code = cli.main(["order-check", "--method", "dy", flag, value,
+                     "--outdir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert flag in err and "must be finite and > 0" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_lasso_paper_scale_flag_accepted(tmp_path):
     # full-size study scale, narrowed to one variant/seed to stay quick
     code = cli.main(["lasso", "--paper-scale", "--seeds", "1",

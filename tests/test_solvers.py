@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from proxflow.damping import ConstantDamping, DecayingDamping, NoDamping
 from proxflow.errors import ConfigurationError, ParameterError
 from proxflow.experiments import gen_lasso, lasso_problem
 from proxflow.solvers import (
+    DIVERGENCE_NORM,
     METHODS,
     Problem,
     SolverState,
@@ -345,6 +347,66 @@ def test_divergence_guard_reports_diverged():
     assert trace.status == "converged"
 
 
+def test_run_measures_every_state_once_from_the_initial_one():
+    problem = quadratic_problem(seed=9)
+    x0 = np.array([0.5, -1.0, 2.0])
+    seen = []
+
+    def measure(state):
+        seen.append(state)
+        return float(state.k) ** 2 + 0.5
+
+    state, trace = run("dy", problem, StepConfig(lam=0.1), x0, max_iters=7, measure=measure)
+    assert len(seen) == len(trace) == 8
+    assert seen[0].k == 0
+    np.testing.assert_array_equal(seen[0].estimate, x0)
+    assert seen[-1] is state
+    np.testing.assert_array_equal(trace.objectives, [k * k + 0.5 for k in range(8)])
+
+
+def test_run_default_measure_is_the_objective_at_the_estimate():
+    problem = quadratic_problem(seed=9)
+    _, trace = run("dy", problem, StepConfig(lam=0.1), np.ones(3), max_iters=5,
+                   measure=lambda state: problem.value(state.estimate))
+    _, default = run("dy", problem, StepConfig(lam=0.1), np.ones(3), max_iters=5)
+    np.testing.assert_array_equal(default.objectives, trace.objectives)
+    # a term without ``value`` makes the default NaN
+    no_value = Problem(f=problem.f, g=SimpleNamespace(prox=problem.g.prox), w=problem.w)
+    _, trace = run("dy", no_value, StepConfig(lam=0.1), np.ones(3), max_iters=3)
+    assert np.all(np.isnan(trace.objectives))
+
+
+def test_stop_rule_receives_the_measured_value():
+    problem = quadratic_problem(seed=9)
+    measured, received = {}, {}
+
+    def measure(state):
+        measured[state.k] = 1.0 / (1 + state.k)
+        return measured[state.k]
+
+    def stop(state, value):
+        received[state.k] = value
+        return value <= 0.1
+
+    _, trace = run("dy", problem, StepConfig(lam=0.1), np.ones(3), stop=stop,
+                   max_iters=100, measure=measure)
+    assert trace.status == "converged" and trace.iterations == 9
+    assert received == {k: measured[k] for k in range(1, 10)}
+    np.testing.assert_array_equal(trace.objectives, [measured[k] for k in range(10)])
+
+
+def test_divergence_records_the_measure_of_the_diverged_state():
+    w = prox.Quadratic(np.array([[10.0]]))
+    problem = Problem(g=prox.L1(1e-8), w=w)
+    stops = []
+    state, trace = run("tseng", problem, StepConfig(lam=0.3), np.array([1.0]),
+                       stop=lambda state, value: stops.append(state.k) or False,
+                       max_iters=2000, measure=lambda state: abs(float(state.x[0])))
+    assert trace.status == "diverged"
+    assert trace.objectives[-1] == abs(float(state.x[0])) > DIVERGENCE_NORM
+    assert len(trace) == state.k + 1 and stops == list(range(1, state.k))
+
+
 def test_method_problem_validation():
     quad = quadratic_problem(seed=10)
     with pytest.raises(ConfigurationError):
@@ -407,9 +469,10 @@ def test_trace_residuals_match_the_per_method_formula(method, schedule):
     # bit for bit the formula the run loop used to apply from outside the
     # step: ADMM ||x+ - x_half|| + ||x+ - x||, the others ||x+ - xhat||
     problem = _method_problem(method)
-    states = [initial_state(np.array([1.2, -0.7, 0.4]))]
-    _, trace = run(method, problem, StepConfig(lam=0.3, schedule=schedule), states[0].x,
-                   max_iters=25, callback=states.append)
+    states = []
+    _, trace = run(method, problem, StepConfig(lam=0.3, schedule=schedule),
+                   np.array([1.2, -0.7, 0.4]), max_iters=25,
+                   measure=lambda state: states.append(state) or 0.0)
     expected = [math.nan]
     for prev, new in zip(states, states[1:]):
         if method == "admm":
