@@ -12,6 +12,7 @@ regression / matrix completion experiment suites.
 from .damping import (
     CombinedDamping,
     ConstantDamping,
+    Damping,
     DecayingDamping,
     NoDamping,
     extrapolate,
@@ -42,7 +43,7 @@ from .space import inner, norm
 __version__ = "0.1.0"
 
 __all__ = [
-    "CombinedDamping", "ConstantDamping", "DecayingDamping", "NoDamping",
+    "Damping", "CombinedDamping", "ConstantDamping", "DecayingDamping", "NoDamping",
     "gamma", "extrapolate",
     "ConfigurationError", "NumericalError", "ParameterError", "ShapeMismatchError",
     "Problem", "SolverState", "StepConfig", "Trace",

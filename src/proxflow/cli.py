@@ -99,9 +99,9 @@ def _quad_problem_for(method: str) -> Problem:
 
 
 def cmd_solve(args) -> int:
-    problem, x0, stop = _solve_instance(args)
     schedule = schedule_for(args.damping, args.r, args.r1, args.r2)
     cfg = StepConfig(lam=args.lam, schedule=schedule)
+    problem, x0, stop = _solve_instance(args)
     state, trace = run(args.method, problem, cfg, x0,
                        stop=stop, max_iters=args.max_iters)
     out = args.outdir / (

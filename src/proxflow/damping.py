@@ -4,24 +4,29 @@ Every accelerated solver forms the extrapolation
 
     xhat_k = x_k + gamma_k * (x_k - x_{k-1})
 
-where gamma_k discretizes a damping coefficient eta(t) of the underlying
-second-order flow:
+where gamma_k discretizes the damping eta(t) of the underlying
+second-order flow.  There is one damping law, :class:`Damping`:
 
-* decaying damping eta(t) = r/t    ->  gamma_k = k / (k + r)
-* constant damping eta(t) = r      ->  gamma_k = 1 - r*h
-* combined damping eta(t) = r1/t + r2  ->  gamma_k = k/(k+r1) - r2*h
+    eta(t) = r1/t + r2    ->    gamma_k = max(k/(k+r1) - r2*h, 0)
 
-In each case gamma_k = 1 - eta(t_k)*h + O(h^2) with t_k = k*h, which is
-what makes the accelerated steps consistent discretizations.  Every
-schedule reports both: ``gamma(k, h)`` for the solvers and ``eta(t)`` for
-the flows, with ``accelerated`` false only for :class:`NoDamping`.  Negative
-momentum (r*h > 1 for constant damping, and the analogous combined-case
-overshoot) is clamped to zero with a warning.
+with t_k = k*h, so gamma_k = 1 - eta(t_k)*h + O(h^2), which is what makes
+the accelerated steps consistent discretizations.  The paper's three
+regimes are its cases, each built by a named constructor:
+
+* decaying damping eta(t) = r/t       (r1 = r >= 3, r2 = 0)  ->  k/(k+r)
+* constant damping eta(t) = r         (r1 = 0, r2 = r > 0)   ->  1 - r*h
+* combined damping eta(t) = r1/t + r2 (r1, r2 > 0)
+
+Every schedule reports both: ``gamma(k, h)`` for the solvers and
+``eta(t)`` for the flows, with ``accelerated`` false only for
+:class:`NoDamping`.  ``r2*h > 1`` would clamp every k, so ``StepConfig``
+rejects it; ``r2*h == 1`` zeroes every k too but stays accepted, as it was
+before the check.  Below that the clamp bites only the combined law at
+small k.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Union
 
@@ -43,78 +48,50 @@ class NoDamping:
 
 
 @dataclass(frozen=True)
-class DecayingDamping:
+class Damping:
+    """Damping eta(t) = r1/t + r2; a zero r1 or r2 drops its term.  With
+    r2 = 0 it is the decaying regime, which requires r1 >= 3."""
+
+    accelerated = True
+    r1: float = 0.0
+    r2: float = 0.0
+
+    def __post_init__(self):
+        if not self.r2 and self.r1 < 3:
+            raise ParameterError(f"decaying damping requires r >= 3, got {self.r1}"
+                                 " (NoDamping() is no momentum)")
+        if self.r1 < 0 or self.r2 < 0:
+            raise ParameterError(f"damping requires r1, r2 >= 0, got ({self.r1}, {self.r2})")
+
+    def gamma(self, k: int, h: float) -> float:
+        return max((k / (k + self.r1) if self.r1 else 1.0) - self.r2 * h, 0.0)
+
+    def eta(self, t: float) -> float:
+        if self.r1 and t <= 0:
+            raise ParameterError(f"damping r1/t is singular at t = {t}; need t > 0")
+        return (self.r1 / t if self.r1 else 0.0) + self.r2
+
+
+def DecayingDamping(r: float = 3.0) -> Damping:
     """Damping r/t decaying in time; requires r >= 3."""
-
-    accelerated = True
-    r: float = 3.0
-
-    def __post_init__(self):
-        if self.r < 3:
-            raise ParameterError(f"decaying damping requires r >= 3, got {self.r}")
-
-    def gamma(self, k: int, h: float) -> float:
-        return k / (k + self.r)
-
-    def eta(self, t: float) -> float:
-        return self.r / _positive_time(t)
+    return Damping(r1=r)
 
 
-@dataclass(frozen=True)
-class ConstantDamping:
+def ConstantDamping(r: float) -> Damping:
     """Constant damping r > 0 (heavy-ball style momentum)."""
-
-    accelerated = True
-    r: float
-
-    def __post_init__(self):
-        if self.r <= 0:
-            raise ParameterError(f"constant damping requires r > 0, got {self.r}")
-
-    def gamma(self, k: int, h: float) -> float:
-        g = 1.0 - self.r * h
-        if g < 0.0:
-            warnings.warn(
-                f"constant damping with r*h = {self.r * h:.3g} > 1 would give "
-                "negative momentum; clamping gamma to 0",
-                stacklevel=2,
-            )
-            return 0.0
-        return g
-
-    def eta(self, t: float) -> float:
-        return self.r
+    if r <= 0:
+        raise ParameterError(f"constant damping requires r > 0, got {r}")
+    return Damping(r2=r)
 
 
-@dataclass(frozen=True)
-class CombinedDamping:
+def CombinedDamping(r1: float, r2: float) -> Damping:
     """Damping r1/t + r2 mixing the decaying and constant regimes."""
-
-    accelerated = True
-    r1: float
-    r2: float
-
-    def __post_init__(self):
-        if self.r1 <= 0 or self.r2 <= 0:
-            raise ParameterError(
-                f"combined damping requires r1 > 0 and r2 > 0, got ({self.r1}, {self.r2})"
-            )
-
-    def gamma(self, k: int, h: float) -> float:
-        # Same negative-momentum clamp as the constant schedule (bites at small k).
-        return max(k / (k + self.r1) - self.r2 * h, 0.0)
-
-    def eta(self, t: float) -> float:
-        return self.r1 / _positive_time(t) + self.r2
+    if r1 <= 0 or r2 <= 0:
+        raise ParameterError(f"combined damping requires r1 > 0 and r2 > 0, got ({r1}, {r2})")
+    return Damping(r1, r2)
 
 
-def _positive_time(t: float) -> float:
-    if t <= 0:
-        raise ParameterError(f"damping r/t is singular at t = {t}; need t > 0")
-    return t
-
-
-Schedule = Union[NoDamping, DecayingDamping, ConstantDamping, CombinedDamping]
+Schedule = Union[NoDamping, Damping]
 
 
 def schedule_for(name: str, r: float | None = None, r1: float | None = None,

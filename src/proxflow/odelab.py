@@ -234,16 +234,17 @@ def local_error_order(
     step_fn = METHODS[method][0]
     c = -problem.g.grad(x0)     # the matched balance coefficient
 
+    # every step's config first, so a bad one (say r2*h > 1) fails before any RK work
+    cfgs = [StepConfig(lam=h * h, schedule=schedule) if accelerated else StepConfig(lam=h)
+            for h in h_values]
     errors = []
-    for h in h_values:
+    for h, cfg in zip(h_values, cfgs):
         if accelerated:
-            cfg = StepConfig(lam=h * h, schedule=schedule)
             k0 = max(1, round(t0 / h))
             x_prev = x0 - h * v0
             x_hat = damping_mod.extrapolate(x0, x_prev, damping_mod.gamma(schedule, k0, h))
             flow, t_start = AcceleratedFlow(total, schedule), k0 * h
         else:
-            cfg = StepConfig(lam=h)
             k0, x_prev, x_hat = 1, x0, x0
             flow, t_start = GradientFlow(total), 0.0
         state = SolverState(x=x0, x_prev=x_prev, x_hat=x_hat, c=c, k=k0, estimate=x0)

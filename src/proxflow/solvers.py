@@ -94,6 +94,10 @@ class StepConfig:
             raise ParameterError(f"lam must be > 0, got {self.lam}")
         if self.schedule is None:
             raise ParameterError("schedule is None; pass NoDamping() for no momentum")
+        if self.schedule.accelerated and self.schedule.r2 * self.h > 1:
+            raise ParameterError(
+                f"damping r2*h = {self.schedule.r2 * self.h:.3g} > 1 (h = sqrt(lam), "
+                f"lam = {self.lam}) clamps the momentum to 0 at every k; lower r2 or lam")
 
     @property
     def h(self) -> float:

@@ -57,6 +57,20 @@ def test_solve_combined_damping_requires_both_rates(capsys):
     assert code == 1
 
 
+def test_solve_momentum_zero_at_every_k_exits_one_before_any_work(tmp_path, monkeypatch,
+                                                                  capsys):
+    # r2*h = 5*sqrt(0.1) = 1.58 > 1: refused before the instance is generated
+    work = []
+    monkeypatch.setattr(cli, "_solve_instance", lambda args: work.append(args))
+    code = cli.main(["solve", "--instance", "quad-desk", "--method", "dy",
+                     "--damping", "constant", "--r", "5", "--lambda", "0.1",
+                     "--outdir", str(tmp_path)])
+    assert code == 1
+    assert not work and list(tmp_path.iterdir()) == []
+    out, err = capsys.readouterr()
+    assert out == "" and "r2*h = 1.58 > 1" in err
+
+
 def test_solve_missing_lambda_exits_one(capsys):
     code = cli.main(["solve", "--method", "dy", "--instance", "lasso-desk"])
     assert code == 1
@@ -119,6 +133,7 @@ def test_lasso_unconverged_reference_raises_and_exits_3(tmp_path, monkeypatch, c
     ("admm", "constant", "1.0"),
     ("fb", "none", None),
     ("tseng", "decaying", "3"),
+    ("dy", "constant", "15"),   # r*h = 1.5 at --h-max, but the fit keeps h <= 0.1/sqrt(L)
 ])
 def test_order_check_slope_near_two(tmp_path, capsys, method, damping, r):
     argv = ["order-check", "--method", method, "--damping", damping,
@@ -142,6 +157,15 @@ def test_order_check_degenerate_fit_exits_three(tmp_path, capsys, points):
                      "--points", points, "--outdir", str(tmp_path)])
     assert code == 3
     assert "order fit failed" in capsys.readouterr().err
+
+
+def test_order_check_momentum_zero_at_a_fitted_h_exits_three(tmp_path, capsys):
+    # r*h = 20 * 0.0518 = 1.04 > 1 at the largest h the fit keeps
+    code = cli.main(["order-check", "--method", "dy", "--damping", "constant", "--r", "20",
+                     "--outdir", str(tmp_path)])
+    assert code == 3
+    assert "order fit failed: damping r2*h = 1.04 > 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("flag,value", [

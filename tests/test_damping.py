@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from proxflow import damping
 from proxflow.damping import (
     CombinedDamping,
     ConstantDamping,
+    Damping,
     DecayingDamping,
     NoDamping,
 )
@@ -37,6 +40,18 @@ def test_schedule_parameter_validation():
         CombinedDamping(0.0, 1.0)
     with pytest.raises(ParameterError):
         CombinedDamping(1.0, -1.0)
+    # r1/t alone below 3 is the decaying rule; Damping() would be undamped momentum
+    for r1, r2 in ((-1.0, 0.0), (0.0, -0.5), (1.0, 0.0), (0.0, 0.0)):
+        with pytest.raises(ParameterError):
+            Damping(r1, r2)
+    with pytest.raises(ParameterError, match="NoDamping"):
+        Damping()
+
+
+def test_named_schedules_are_cases_of_one_law():
+    assert DecayingDamping(4.0) == Damping(r1=4.0)
+    assert ConstantDamping(0.5) == Damping(r2=0.5)
+    assert CombinedDamping(2.0, 0.4) == Damping(2.0, 0.4)
 
 
 def test_gamma_argument_validation():
@@ -47,8 +62,8 @@ def test_gamma_argument_validation():
 
 
 def test_constant_clamps_negative_momentum():
-    with pytest.warns(UserWarning):
-        assert damping.gamma(ConstantDamping(3.0), 5, 0.5) == 0.0
+    # StepConfig refuses r2*h > 1; the law itself still clamps at zero
+    assert damping.gamma(ConstantDamping(3.0), 5, 0.5) == 0.0
 
 
 def test_decaying_monotone_increasing_below_one():
@@ -128,3 +143,34 @@ def test_extrapolate_zero_gamma_returns_same_object():
     # the no-acceleration path must be bit-identical to no extrapolation
     x = np.array([1.0, -2.0])
     assert damping.extrapolate(x, np.array([5.0, 5.0]), 0.0) is x
+
+
+_H = st.floats(1e-4, 0.5)
+_K = st.integers(1, 10**6)
+
+
+@given(r1=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+       r2=st.one_of(st.just(0.0), st.floats(0.0, 20.0)), h=_H, k=_K)
+def test_gamma_is_one_minus_eta_h_to_second_order(r1, r2, h, k):
+    # gamma_k - (1 - eta(t_k)*h) = r1^2 / (k*(k + r1)) exactly, wherever the
+    # clamp at zero does not bite
+    assume((r2 > 0 or r1 >= 3) and r2 * h <= 1.0)
+    sched = Damping(r1, r2)
+    g = sched.gamma(k, h)
+    assume(g > 0.0)
+    assert abs(g - (1.0 - sched.eta(k * h) * h)) <= r1 * r1 / (k * k) + 1e-12
+
+
+@given(r=st.floats(3.0, 50.0), h=_H, k=st.integers(0, 10**6), t=st.floats(1e-6, 1e6))
+def test_decaying_keeps_its_bits(r, h, k, t):
+    sched = DecayingDamping(r)
+    assert sched.gamma(k, h) == k / (k + r)
+    assert sched.eta(t) == r / t
+
+
+@given(r=st.floats(1e-6, 20.0), h=_H, k=_K, t=st.floats(1e-6, 1e6))
+def test_constant_keeps_its_bits(r, h, k, t):
+    assume(r * h <= 1.0)
+    sched = ConstantDamping(r)
+    assert sched.gamma(k, h) == 1.0 - r * h
+    assert sched.eta(t) == r

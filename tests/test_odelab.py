@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import quadratic_problem, quadratic_triple
-from proxflow import prox
+from proxflow import odelab, prox
 from proxflow.damping import ConstantDamping, DecayingDamping, NoDamping
 from proxflow.errors import NumericalError, ParameterError
 from proxflow.odelab import (
@@ -251,6 +251,16 @@ def test_local_error_order_oracle_resolution_insensitive():
     fit2 = local_error_order("dy", problem, ConstantDamping(1.0), H_GRID, x0=x0,
                              rk_substeps=128)
     np.testing.assert_allclose(fit2.errors, fit1.errors, rtol=1e-2)
+
+
+def test_local_error_order_refuses_zero_momentum_before_any_rk_work(monkeypatch):
+    # r2*h = 15 * 0.1 > 1 only at the largest h; no smaller step is measured first
+    work = []
+    monkeypatch.setattr(odelab, "reference_trajectory", lambda *args, **kw: work.append(args))
+    with pytest.raises(ParameterError, match=r"r2\*h = 1.5 > 1"):
+        local_error_order("dy", quadratic_problem(seed=7), ConstantDamping(15.0), H_GRID,
+                          x0=np.array([1.2, -0.7, 0.4]))
+    assert not work
 
 
 def test_local_error_order_degenerate_grid_rejected():

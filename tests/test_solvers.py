@@ -6,7 +6,7 @@ import pytest
 
 from conftest import centered_quadratic_problem, quadratic_problem
 from proxflow import prox, space
-from proxflow.damping import ConstantDamping, DecayingDamping, NoDamping
+from proxflow.damping import CombinedDamping, ConstantDamping, DecayingDamping, NoDamping
 from proxflow.errors import ConfigurationError, ParameterError
 from proxflow.experiments import gen_lasso, lasso_problem
 from proxflow.solvers import (
@@ -72,6 +72,23 @@ def test_step_config_h_derivation():
     assert StepConfig(lam=0.04).h == pytest.approx(0.04)
     with pytest.raises(ParameterError):
         StepConfig(lam=0.0)
+
+
+@pytest.mark.parametrize("lam,schedule", [
+    (0.1, ConstantDamping(5.0)),          # r2*h = 5*sqrt(0.1) = 1.58
+    (1.0, CombinedDamping(3.0, 2.0)),     # r2*h = 2
+], ids=["constant", "combined"])
+def test_step_config_rejects_momentum_zero_at_every_k(lam, schedule):
+    # r2*h > 1 clamps gamma_k to 0 for every k, so it is refused once, up front
+    with pytest.raises(ParameterError, match=r"r2\*h") as exc:
+        StepConfig(lam=lam, schedule=schedule)
+    assert f"lam = {lam}" in str(exc.value)
+
+
+def test_step_config_accepts_r2_h_equal_one():
+    cfg = StepConfig(lam=0.25, schedule=ConstantDamping(2.0))
+    assert cfg.schedule.r2 * cfg.h == 1.0
+    assert StepConfig(lam=100.0, schedule=DecayingDamping(3.0)).h == 10.0
 
 
 # ---------------------------------------------------------------------------

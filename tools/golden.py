@@ -41,10 +41,15 @@ COMMANDS = {
                         "--method", "dy", *_LASSO_CONSTANT],
     "solve-quad-dy-decaying": ["solve", "--instance", "quad-desk", "--method", "dy",
                                "--damping", "decaying", "--lambda", "0.1"],
+    # r2*h = 5*sqrt(0.1) > 1: refused before any work
+    "solve-quad-dy-constant-r5": ["solve", "--instance", "quad-desk", "--method", "dy",
+                                  "--damping", "constant", "--r", "5", "--lambda", "0.1"],
     "solve-matcomp-dy": ["solve", "--instance", "matcomp-desk", "--method", "dy",
                          "--lambda", "1.0"],
     "order-dy-constant": ["order-check", "--method", "dy", "--damping", "constant",
                           "--r", "1.0"],
+    "order-dy-combined": ["order-check", "--method", "dy", "--damping", "combined",
+                          "--r1", "3", "--r2", "0.5"],
     "order-admm": ["order-check", "--method", "admm"],
     "order-tseng-decaying": ["order-check", "--method", "tseng", "--damping", "decaying"],
     "order-h-min-0": ["order-check", "--method", "dy", "--h-min", "0"],
