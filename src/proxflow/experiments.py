@@ -109,12 +109,16 @@ _POLISH_EVERY = 25
 def reference_solution(
     instance: LassoInstance, tol: float = 1e-10, max_iters: int = 10**6
 ) -> ReferenceSolution:
-    """High-precision oracle for the l1 objective: forward-backward plus
-    support polish.
+    """High-precision oracle for the l1 objective: accelerated
+    forward-backward plus support polish.
 
-    The driver is plain forward-backward iteration T(x) =
+    The iteration is accelerated forward-backward on the map T(x) =
     soft_threshold(x - lam*A^T(Ax - b), lam*alpha) with the safe step
-    lam = 0.5/L, where L is the largest eigenvalue of A^T A.  Every
+    lam = 0.5/L, where L is the largest eigenvalue of A^T A: x_k = T(y),
+    then y = x_k + k/(k+3)*(x_k - x_{k-1}), the decaying damping that
+    makes FISTA (Beck & Teboulle 2009).  A gradient restart (O'Donoghue &
+    Candes 2015) sets k = 0 and y = x_k whenever (y - x_k).(x_k - x_{k-1})
+    > 0, that is, when the step turned against the momentum.  Every
     ``_POLISH_EVERY`` iterations the sign pattern s of the iterate is
     compared with the one at the previous check; when it has not changed,
     and once more when the iteration itself reaches ``tol``, the optimum
@@ -126,11 +130,11 @@ def reference_solution(
     pass; otherwise forward-backward continues from its own iterate (or
     returns it, once it has reached ``tol``).
 
-    ``iterations`` counts the forward-backward steps taken, and
-    ``residual`` is the fixed-point residual of the returned ``x`` (for a
-    forward-backward iterate, that of the step which produced it).  If
-    the cap is reached, the last residual is reported with
-    ``converged=False`` instead of raising.
+    ``iterations`` counts the accelerated steps taken, and ``residual`` is
+    the fixed-point residual under the same map T of the returned ``x``
+    (for an iterate x_k = T(y), that of the step which produced it,
+    ||y - x_k||).  If the cap is reached, the last residual is reported
+    with ``converged=False`` instead of raising.
     """
     if tol <= 0:
         raise ParameterError(f"tol must be > 0, got {tol}")
@@ -145,12 +149,18 @@ def reference_solution(
         return ReferenceSolution(x=x, value=instance.objective(x), residual=resid,
                                  iterations=iterations, converged=converged)
 
-    x = np.zeros(A.shape[1])
+    x = y = np.zeros(A.shape[1])
+    k = 0
     signs = None
     resid = math.inf
     for it in range(1, max_iters + 1):
-        x_new = step(x)
-        resid = norm(x - x_new)
+        x_new = step(y)
+        resid = norm(y - x_new)
+        if (y - x_new) @ (x_new - x) > 0:    # gradient restart
+            k, y = 0, x_new
+        else:
+            k += 1
+            y = x_new + k / (k + 3) * (x_new - x)
         x = x_new
         reached = resid <= tol
         if not reached and it % _POLISH_EVERY:

@@ -218,6 +218,11 @@ def local_error_order(
     h_values = sorted(float(h) for h in h_values)
     if len(h_values) < 3:
         raise ParameterError(f"need at least 3 points for an order fit, got {len(h_values)}")
+    accelerated = schedule.accelerated
+    # the prox parameter of the smallest step (h^2 may underflow to 0)
+    if not (h_values[0] * h_values[0] if accelerated else h_values[0]) > 0:
+        raise ParameterError(f"h = {h_values[0]:g} is too small: its prox parameter "
+                             f"{'h^2' if accelerated else 'h'} is not > 0")
     if math.log10(h_values[-1] / h_values[0]) < 1.5 - 1e-9:
         raise ParameterError("h_values must span at least 1.5 decades")
     total = total_gradient(problem)
@@ -227,7 +232,6 @@ def local_error_order(
         if len(kept) >= 3:
             h_values = kept
 
-    accelerated = schedule.accelerated
     # Deterministic, generic velocity; avoid anything proportional to
     # grad F(x0), which could cancel the leading error term.
     v0 = np.cos(1.0 + np.arange(x0.size)).reshape(x0.shape) if accelerated else None
@@ -252,6 +256,9 @@ def local_error_order(
         ref = reference_trajectory(flow, x0, v0, t0=t_start, T=t_start + h,
                                    steps=rk_substeps)
         errors.append(norm(new.x - ref.xs[-1]))
+        if not 0 < errors[-1] < math.inf:
+            raise ParameterError(f"one-step error at h = {h:g} is {errors[-1]}; "
+                                 "a log-log fit needs it finite and > 0")
     hs, errors = np.array(h_values), np.array(errors)
     slope, intercept, r2 = _line_fit(np.log10(hs), np.log10(errors))
     return OrderFit(hs=hs, errors=errors, slope=slope, intercept=intercept, r_squared=r2)

@@ -168,6 +168,27 @@ def test_order_check_momentum_zero_at_a_fitted_h_exits_three(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_order_check_step_whose_square_underflows_exits_three(tmp_path, capsys):
+    # h = 1e-170 passes the flag check, but lam = h^2 underflows to 0
+    code = cli.main(["order-check", "--method", "dy", "--damping", "constant", "--r", "1",
+                     "--h-max", "1e-170", "--outdir", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "order fit failed: h = 1e-170 is too small" in err
+    assert "lam" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_order_check_zero_one_step_error_exits_three(tmp_path, capsys):
+    # the plain step at h = 1e-170 moves nothing measurable: its error is 0,
+    # whose log10 would make the slope nan
+    code = cli.main(["order-check", "--method", "fb", "--damping", "none",
+                     "--h-max", "1e-170", "--outdir", str(tmp_path)])
+    assert code == 3
+    assert "order fit failed: one-step error at h = 1e-170 is 0.0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--h-min", "0"), ("--h-min", "-1"), ("--h-max", "0"), ("--h-max", "inf"),
     ("--h-min", "nan"),
