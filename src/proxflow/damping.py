@@ -27,18 +27,25 @@ small k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
-from .errors import ParameterError
+from .errors import Frozen, ParameterError
 from .space import Element, check_same_shape
 
 
-@dataclass(frozen=True)
-class NoDamping:
+class NoDamping(Frozen):
     """No acceleration: gamma_k = 0 for all k."""
 
     accelerated = False
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+    def __repr__(self):
+        return "NoDamping()"
 
     def gamma(self, k: int, h: float) -> float:
         return 0.0
@@ -47,21 +54,30 @@ class NoDamping:
         return 0.0
 
 
-@dataclass(frozen=True)
-class Damping:
+class Damping(Frozen):
     """Damping eta(t) = r1/t + r2; a zero r1 or r2 drops its term.  With
     r2 = 0 it is the decaying regime, which requires r1 >= 3."""
 
     accelerated = True
-    r1: float = 0.0
-    r2: float = 0.0
 
-    def __post_init__(self):
-        if not self.r2 and self.r1 < 3:
-            raise ParameterError(f"decaying damping requires r >= 3, got {self.r1}"
+    def __init__(self, r1: float = 0.0, r2: float = 0.0):
+        self.__dict__.update(r1=r1, r2=r2)
+        if not r2 and r1 < 3:
+            raise ParameterError(f"decaying damping requires r >= 3, got {r1}"
                                  " (NoDamping() is no momentum)")
-        if self.r1 < 0 or self.r2 < 0:
-            raise ParameterError(f"damping requires r1, r2 >= 0, got ({self.r1}, {self.r2})")
+        if r1 < 0 or r2 < 0:
+            raise ParameterError(f"damping requires r1, r2 >= 0, got ({r1}, {r2})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r1, self.r2) == (other.r1, other.r2)
+
+    def __hash__(self):
+        return hash((self.r1, self.r2))
+
+    def __repr__(self):
+        return f"Damping(r1={self.r1!r}, r2={self.r2!r})"
 
     def gamma(self, k: int, h: float) -> float:
         return max((k / (k + self.r1) if self.r1 else 1.0) - self.r2 * h, 0.0)

@@ -136,7 +136,7 @@ def reference_solution(
     ||y - x_k||).  If the cap is reached, the last residual is reported
     with ``converged=False`` instead of raising.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ParameterError(f"tol must be > 0, got {tol}")
     A, b, alpha = instance.A, instance.b, instance.alpha
     L = prox.gram_spectral_norm(A)

@@ -118,17 +118,20 @@ class _CholeskyCache:
             with self._lock:
                 entry = self._entries.get(lam)
                 if entry is None:
-                    system = self._matrix()
-                    system *= lam
-                    system.flat[:: system.shape[0] + 1] += 1.0
+                    # I + lam*M, then its factor L, then L^{-1}: each rebinding
+                    # frees the matrix before it
+                    a = self._matrix()
+                    a *= lam
+                    a.flat[:: a.shape[0] + 1] += 1.0
                     try:
-                        chol_inv = np.linalg.inv(np.linalg.cholesky(system))
+                        a = np.linalg.cholesky(a)
+                        a = np.linalg.inv(a)
                     except np.linalg.LinAlgError as exc:
                         raise NumericalError(
                             f"Cholesky factorization failed for system of shape "
-                            f"{system.shape} (lam={lam}): {exc}"
+                            f"{a.shape} (lam={lam}): {exc}"
                         ) from exc
-                    entry = (chol_inv.T @ chol_inv, lam * self._shift)
+                    entry = (a.T @ a, lam * self._shift)
                     self._entries[lam] = entry
         return entry
 

@@ -32,30 +32,29 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import damping, space
 from .damping import NoDamping, Schedule
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, Frozen, ParameterError
 from .space import Element
 
 DIVERGENCE_NORM = 1e12
 
 
-@dataclass(frozen=True, eq=False)
-class Problem:
+class Problem(Frozen):
     """Three-term split; absent terms behave as the zero function."""
 
-    f: object | None = None
-    g: object | None = None
-    w: object | None = None
-
-    def __post_init__(self):
-        if self.f is None and self.g is None and self.w is None:
+    def __init__(self, f: object | None = None, g: object | None = None,
+                 w: object | None = None):
+        self.__dict__.update(f=f, g=g, w=w)
+        if f is None and g is None and w is None:
             raise ConfigurationError("at least one of f, g, w must be present")
+
+    def __repr__(self):
+        return f"Problem(f={self.f!r}, g={self.g!r}, w={self.w!r})"
 
     def prox_f(self, v: Element, lam: float) -> Element:
         return v if self.f is None else self.f.prox(v, lam)
@@ -78,34 +77,41 @@ class Problem:
         return total
 
 
-@dataclass(frozen=True)
-class StepConfig:
+class StepConfig(Frozen):
     """Prox parameter and momentum schedule for one solver run.
 
     The step scale used by the schedule is derived: h = sqrt(lam) in
     accelerated mode, h = lam otherwise.
     """
 
-    lam: float
-    schedule: Schedule = NoDamping()
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ParameterError(f"lam must be > 0, got {self.lam}")
-        if self.schedule is None:
+    def __init__(self, lam: float, schedule: Schedule = NoDamping()):
+        self.__dict__.update(lam=lam, schedule=schedule)
+        if lam <= 0:
+            raise ParameterError(f"lam must be > 0, got {lam}")
+        if schedule is None:
             raise ParameterError("schedule is None; pass NoDamping() for no momentum")
-        if self.schedule.accelerated and self.schedule.r2 * self.h > 1:
+        if schedule.accelerated and schedule.r2 * self.h > 1:
             raise ParameterError(
-                f"damping r2*h = {self.schedule.r2 * self.h:.3g} > 1 (h = sqrt(lam), "
-                f"lam = {self.lam}) clamps the momentum to 0 at every k; lower r2 or lam")
+                f"damping r2*h = {schedule.r2 * self.h:.3g} > 1 (h = sqrt(lam), "
+                f"lam = {lam}) clamps the momentum to 0 at every k; lower r2 or lam")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lam, self.schedule) == (other.lam, other.schedule)
+
+    def __hash__(self):
+        return hash((self.lam, self.schedule))
+
+    def __repr__(self):
+        return f"StepConfig(lam={self.lam!r}, schedule={self.schedule!r})"
 
     @property
     def h(self) -> float:
         return math.sqrt(self.lam) if self.schedule.accelerated else self.lam
 
 
-@dataclass(frozen=True, eq=False)
-class SolverState:
+class SolverState(Frozen):
     """Iterate bundle carried between steps.
 
     ``estimate`` is the output of the backward (prox-g) pass, the natural
@@ -117,14 +123,14 @@ class SolverState:
     residual (NaN at k = 0).
     """
 
-    x: Element
-    x_prev: Element
-    x_hat: Element
-    c: Element
-    k: int
-    last_half: Element | None = None
-    estimate: Element | None = None
-    residual: float = math.nan
+    def __init__(self, x: Element, x_prev: Element, x_hat: Element, c: Element, k: int,
+                 last_half: Element | None = None, estimate: Element | None = None,
+                 residual: float = math.nan):
+        self.__dict__.update(x=x, x_prev=x_prev, x_hat=x_hat, c=c, k=k,
+                             last_half=last_half, estimate=estimate, residual=residual)
+
+    def __repr__(self):
+        return "SolverState({})".format(", ".join(f"{k}={v!r}" for k, v in vars(self).items()))
 
 
 def initial_state(x0: Element) -> SolverState:
@@ -290,7 +296,6 @@ def stop_on_estimate_change(tol: float = 1e-10) -> StopRule:
 # ---------------------------------------------------------------------------
 # run loop
 
-@dataclass(eq=False)
 class Trace:
     """Per-iteration record of a run; row 0 is the initial point.
 
@@ -301,10 +306,13 @@ class Trace:
     (no step has been taken).  Row k is iteration k, so ``ks`` is 0..n-1.
     """
 
-    objectives: np.ndarray
-    residuals: np.ndarray
-    times: np.ndarray
-    status: str
+    def __init__(self, objectives: np.ndarray, residuals: np.ndarray, times: np.ndarray,
+                 status: str):
+        self.objectives, self.residuals, self.times = objectives, residuals, times
+        self.status = status
+
+    def __repr__(self):
+        return "Trace({})".format(", ".join(f"{k}={v!r}" for k, v in vars(self).items()))
 
     def __len__(self) -> int:
         return len(self.objectives)

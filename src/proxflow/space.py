@@ -11,6 +11,8 @@ mutates its array arguments.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ShapeMismatchError
@@ -38,5 +40,13 @@ def inner(x: Element, y: Element) -> float:
 
 
 def norm(x: Element) -> float:
-    """Euclidean norm for vectors, Frobenius norm for matrices."""
+    """Euclidean norm for vectors, Frobenius norm for matrices.
+
+    For a float64 ndarray this is what ``np.linalg.norm`` computes,
+    sqrt(v.dot(v)) with ``v = x.ravel(order="K")``, bit for bit but
+    without its argument handling; other inputs go through it.
+    """
+    if type(x) is np.ndarray and x.dtype == np.float64:
+        v = x.ravel(order="K")
+        return math.sqrt(v.dot(v))
     return float(np.linalg.norm(x))

@@ -117,6 +117,13 @@ def test_reference_solution_dual_implementation_agreement():
     assert abs(inst.objective(x) - ref.value) <= 1e-9
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+def test_reference_solution_rejects_tol_not_above_zero(tol):
+    # a NaN tol would never be reached: the driver would run to its cap
+    with pytest.raises(ParameterError, match="tol must be > 0"):
+        reference_solution(gen_lasso(20, 50, seed=6), tol=tol, max_iters=200)
+
+
 def test_reference_solution_reports_best_on_cap():
     inst = gen_lasso(20, 50, seed=6)
     ref = reference_solution(inst, tol=1e-16, max_iters=50)

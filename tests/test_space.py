@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,19 @@ def test_inner_matches_norm_squared(rng):
     for _ in range(20):
         x = rng.standard_normal(rng.integers(1, 8))
         assert space.inner(x, x) == pytest.approx(space.norm(x) ** 2, rel=1e-12)
+
+
+def test_norm_has_the_bits_of_np_linalg_norm(rng):
+    m = rng.standard_normal((7, 5))
+    cases = [rng.standard_normal(250), m, np.asfortranarray(m), m[::2, 1::2], m.T[::-1],
+             np.zeros(6), np.zeros((3, 4)), np.array([1.0, np.inf, -2.0]),
+             np.array([np.nan, 1.0]), np.array([-np.inf, np.nan]), np.array([1e200, 1e200]),
+             [3.0, 4.0], np.arange(5), m.astype(np.float32)]
+    for x in cases:
+        with np.errstate(over="ignore"):    # 1e200**2
+            got, want = space.norm(x), float(np.linalg.norm(x))
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", want), x
 
 
 def test_inner_shape_mismatch():
