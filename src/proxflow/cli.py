@@ -8,13 +8,14 @@ rates        decay-rate fits of the reference flows on built-in instances
 lasso        the twelve-variant regression suite; per-run + aggregate CSVs
 matcomp      the completion suite (single weight or --anneal)
 
-Exit codes: 0 success/converged, 1 bad arguments (also an unreadable
-config file or an unwritable output path), 2 not converged (or
-slope or rate fit outside its band / partial suite failure), 3 diverged,
-fit failure, or NumericalError (a factorization or decomposition
-failed, a reference trajectory left float range, or a lasso reference
-solution missed its tolerance).  Output CSVs land
-in --outdir (default: $PROXFLOW_OUTDIR or the working directory);
+Exit codes: 0 success/converged, 1 bad arguments (a NaN, infinite or
+out-of-range numeric parameter or an empty seed list, refused before any
+work; also an unreadable config file or an unwritable output path), 2
+not converged (or slope or rate fit outside its band / partial suite
+failure), 3 diverged, fit failure, or NumericalError (a factorization or
+decomposition failed, a reference trajectory left float range, or a
+lasso reference solution missed its tolerance).  Output CSVs land in
+--outdir (default: $PROXFLOW_OUTDIR or the working directory);
 reruns with identical flags and seeds overwrite them with identical
 content, wall-clock columns aside.
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import csvio, experiments, odelab, prox
 from .damping import schedule_for
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, require
 from .solvers import (
     METHODS,
     Problem,
@@ -80,15 +81,14 @@ def _solve_instance(args):
     """Instance + split for the solve subcommand, at the suites' sizes."""
     kind, scale = args.instance.split("-")
     if kind == "quad":
-        return _quad_problem_for(args.method), np.array([1.0, -1.0]), stop_on_residual(args.tol)
+        return _quad_problem_for(args.method), np.array([1.0, -1.0])
     if kind == "lasso":
         cfg = experiments.paper_scale_lasso() if scale == "full" else experiments.LassoConfig()
-        problem = experiments.lasso_problem(cfg.instance(args.seed), args.method)
-        return problem, np.zeros(cfg.n), stop_on_residual(args.tol)
+        return experiments.lasso_problem(cfg.instance(args.seed), args.method), np.zeros(cfg.n)
     cfg = experiments.paper_scale_matcomp() if scale == "full" else experiments.MatCompConfig()
     inst = cfg.instance(args.seed)
     problem = experiments.matcomp_problem(inst, experiments.matched_single_alpha(inst))
-    return problem, inst.observed, stop_on_estimate_change(args.tol)
+    return problem, inst.observed
 
 
 def _quad_problem_for(method: str) -> Problem:
@@ -101,7 +101,9 @@ def _quad_problem_for(method: str) -> Problem:
 def cmd_solve(args) -> int:
     schedule = schedule_for(args.damping, args.r, args.r1, args.r2)
     cfg = StepConfig(lam=args.lam, schedule=schedule)
-    problem, x0, stop = _solve_instance(args)
+    matcomp = args.instance.startswith("matcomp")
+    stop = (stop_on_estimate_change if matcomp else stop_on_residual)(args.tol)
+    problem, x0 = _solve_instance(args)
     state, trace = run(args.method, problem, cfg, x0,
                        stop=stop, max_iters=args.max_iters)
     out = args.outdir / (
@@ -120,8 +122,7 @@ def cmd_order_check(args) -> int:
     problem = _quad_problem_for(args.method)
     schedule = schedule_for(args.damping, args.r, args.r1, args.r2)
     for flag, h in (("--h-min", args.h_min), ("--h-max", args.h_max)):
-        if not 0 < h < math.inf:
-            raise ParameterError(f"{flag} must be finite and > 0, got {h}")
+        require(h, flag)
     hs = np.logspace(math.log10(args.h_min), math.log10(args.h_max), args.points)
     try:
         fit = odelab.local_error_order(args.method, problem, schedule, hs,
@@ -203,7 +204,10 @@ def cmd_matcomp(args) -> int:
 
 
 def _seeds(value: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in value.split(",") if s.strip())
+    seeds = tuple(int(s) for s in value.split(",") if s.strip())
+    if not seeds:
+        raise ParameterError("seeds must list at least one seed")
+    return seeds
 
 
 def _yes(value: str) -> bool:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .errors import Frozen, ParameterError
+from .errors import Frozen, ParameterError, require
 from .space import Element, check_same_shape
 
 
@@ -61,12 +61,11 @@ class Damping(Frozen):
     accelerated = True
 
     def __init__(self, r1: float = 0.0, r2: float = 0.0):
-        self.__dict__.update(r1=r1, r2=r2)
+        self.__dict__.update(r1=require(r1, "damping r1", strict=False),
+                             r2=require(r2, "damping r2", strict=False))
         if not r2 and r1 < 3:
             raise ParameterError(f"decaying damping requires r >= 3, got {r1}"
                                  " (NoDamping() is no momentum)")
-        if r1 < 0 or r2 < 0:
-            raise ParameterError(f"damping requires r1, r2 >= 0, got ({r1}, {r2})")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -83,28 +82,22 @@ class Damping(Frozen):
         return max((k / (k + self.r1) if self.r1 else 1.0) - self.r2 * h, 0.0)
 
     def eta(self, t: float) -> float:
-        if self.r1 and t <= 0:
-            raise ParameterError(f"damping r1/t is singular at t = {t}; need t > 0")
-        return (self.r1 / t if self.r1 else 0.0) + self.r2
+        return (self.r1 / require(t, "time t of damping r1/t") if self.r1 else 0.0) + self.r2
 
 
 def DecayingDamping(r: float = 3.0) -> Damping:
     """Damping r/t decaying in time; requires r >= 3."""
-    return Damping(r1=r)
+    return Damping(r1=require(r, "decaying damping r", 3.0, strict=False))
 
 
 def ConstantDamping(r: float) -> Damping:
     """Constant damping r > 0 (heavy-ball style momentum)."""
-    if r <= 0:
-        raise ParameterError(f"constant damping requires r > 0, got {r}")
-    return Damping(r2=r)
+    return Damping(r2=require(r, "constant damping r"))
 
 
 def CombinedDamping(r1: float, r2: float) -> Damping:
     """Damping r1/t + r2 mixing the decaying and constant regimes."""
-    if r1 <= 0 or r2 <= 0:
-        raise ParameterError(f"combined damping requires r1 > 0 and r2 > 0, got ({r1}, {r2})")
-    return Damping(r1, r2)
+    return Damping(require(r1, "combined damping r1"), require(r2, "combined damping r2"))
 
 
 Schedule = Union[NoDamping, Damping]
@@ -133,9 +126,7 @@ def gamma(schedule: Schedule, k: int, h: float) -> float:
     """Momentum coefficient at iteration ``k`` for step scale ``h``."""
     if k < 0:
         raise ParameterError(f"iteration index must be >= 0, got {k}")
-    if h <= 0:
-        raise ParameterError(f"step scale h must be > 0, got {h}")
-    return schedule.gamma(k, h)
+    return schedule.gamma(k, require(h, "step scale h"))
 
 
 def extrapolate(x: Element, x_prev: Element, g: float) -> Element:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import prox
 from .damping import schedule_for
-from .errors import ConfigurationError, NumericalError, ParameterError
+from .errors import ConfigurationError, NumericalError, ParameterError, require
 from .solvers import (
     Problem,
     StepConfig,
@@ -102,8 +102,8 @@ class ReferenceSolution:
     converged: bool
 
 
-# iterations between two sign-pattern checks of the reference solution
-_POLISH_EVERY = 25
+# consecutive iterations with one sign pattern before that pattern is polished
+_POLISH_AFTER = 3
 
 
 def reference_solution(
@@ -112,70 +112,68 @@ def reference_solution(
     """High-precision oracle for the l1 objective: accelerated
     forward-backward plus support polish.
 
-    The iteration is accelerated forward-backward on the map T(x) =
-    soft_threshold(x - lam*A^T(Ax - b), lam*alpha) with the safe step
-    lam = 0.5/L, where L is the largest eigenvalue of A^T A: x_k = T(y),
-    then y = x_k + k/(k+3)*(x_k - x_{k-1}), the decaying damping that
-    makes FISTA (Beck & Teboulle 2009).  A gradient restart (O'Donoghue &
-    Candes 2015) sets k = 0 and y = x_k whenever (y - x_k).(x_k - x_{k-1})
-    > 0, that is, when the step turned against the momentum.  Every
-    ``_POLISH_EVERY`` iterations the sign pattern s of the iterate is
-    compared with the one at the previous check; when it has not changed,
-    and once more when the iteration itself reaches ``tol``, the optimum
-    with that support S and those signs is computed from
-    (A_S^T A_S) x_S = A_S^T b - alpha*s_S (the subspace step of Wen, Yin,
-    Goldfarb & Zhang 2010, FPC_AS).  That candidate is accepted only if it
-    keeps the signs s, is finite and its own fixed-point residual
-    ||x - T(x)|| is at most ``tol``, the test the iteration itself must
-    pass; otherwise forward-backward continues from its own iterate (or
-    returns it, once it has reached ``tol``).
+    Let T_lam(x) = soft_threshold(x - lam*A^T(Ax - b), lam*alpha), where L
+    is the largest eigenvalue of A^T A.  The iteration is FISTA (Beck &
+    Teboulle 2009) at its step 1/L: x_k = T_{1/L}(y), then y = x_k +
+    k/(k+3)*(x_k - x_{k-1}).  A gradient restart (O'Donoghue & Candes 2015)
+    sets k = 0 and y = x_k whenever (y - x_k).(x_k - x_{k-1}) > 0, that is,
+    when the step turned against the momentum.  The sign pattern s of the
+    iterate is compared with the previous one at every iteration; once it
+    has held for ``_POLISH_AFTER`` iterations, and again whenever the step
+    ||y - x_k|| is at most ``tol``, the optimum with that support S and
+    those signs is computed from (A_S^T A_S) x_S = A_S^T b - alpha*s_S (the
+    subspace step of Wen, Yin, Goldfarb & Zhang 2010, FPC_AS).
 
-    ``iterations`` counts the accelerated steps taken, and ``residual`` is
-    the fixed-point residual under the same map T of the returned ``x``
-    (for an iterate x_k = T(y), that of the step which produced it,
-    ||y - x_k||).  If the cap is reached, the last residual is reported
-    with ``converged=False`` instead of raising.
+    One map decides what is returned: T = T_{0.5/L}.  A point is accepted,
+    the polished candidate first, only if its fixed-point residual
+    ||x - T(x)|| is at most ``tol``, and that residual is the reported
+    ``residual``.  A polished candidate must also keep the signs s and be
+    finite; otherwise forward-backward continues from its own iterate.
+
+    ``iterations`` counts the accelerated steps taken.  If the cap is
+    reached, the last iterate and its residual under T are reported with
+    ``converged=False`` instead of raising.
     """
-    if not tol > 0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    require(tol, "tol")
     A, b, alpha = instance.A, instance.b, instance.alpha
     L = prox.gram_spectral_norm(A)
-    lam = 0.5 / L
 
-    def step(x):
+    def step(x, lam):
         return prox.soft_threshold(x - lam * (A.T @ (A @ x - b)), lam * alpha)
+
+    def residual(x):
+        return norm(x - step(x, 0.5 / L))
 
     def result(x, resid, iterations, converged=True):
         return ReferenceSolution(x=x, value=instance.objective(x), residual=resid,
                                  iterations=iterations, converged=converged)
 
     x = y = np.zeros(A.shape[1])
-    k = 0
-    signs = None
-    resid = math.inf
+    k = held = 0
+    signs = np.sign(x)
     for it in range(1, max_iters + 1):
-        x_new = step(y)
-        resid = norm(y - x_new)
+        x_new = step(y, 1.0 / L)
+        reached = norm(y - x_new) <= tol
         if (y - x_new) @ (x_new - x) > 0:    # gradient restart
             k, y = 0, x_new
         else:
             k += 1
             y = x_new + k / (k + 3) * (x_new - x)
         x = x_new
-        reached = resid <= tol
-        if not reached and it % _POLISH_EVERY:
-            continue
         new_signs = np.sign(x)
-        if reached or (signs is not None and np.array_equal(new_signs, signs)):
-            polished = _support_polish(A, b, alpha, new_signs)
-            if polished is not None:
-                polished_resid = norm(polished - step(polished))
-                if polished_resid <= tol:
-                    return result(polished, polished_resid, it)
-        if reached:
-            return result(x, resid, it)
+        held = held + 1 if np.array_equal(new_signs, signs) else 0
         signs = new_signs
-    return result(x, resid, max_iters, converged=False)
+        if reached or held == _POLISH_AFTER:
+            polished = _support_polish(A, b, alpha, signs)
+            if polished is not None:
+                resid = residual(polished)
+                if resid <= tol:
+                    return result(polished, resid, it)
+        if reached:
+            resid = residual(x)
+            if resid <= tol:
+                return result(x, resid, it)
+    return result(x, residual(x), max_iters, converged=False)
 
 
 def _support_polish(A: Element, b: Element, alpha: float, signs: Element) -> Element | None:
@@ -267,8 +265,8 @@ def anneal_schedule(delta: float, alpha0: float, alpha_bar: float) -> list[float
     """
     if not 0 < delta < 1:
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
-    if alpha_bar <= 0:
-        raise ParameterError(f"alpha_bar must be > 0, got {alpha_bar}")
+    require(alpha_bar, "alpha_bar")
+    require(alpha0, "alpha0", strict=False)     # an infinite alpha0 would never reach alpha_bar
     if alpha0 <= alpha_bar:
         return [alpha_bar]
     seq = [alpha0]
@@ -429,6 +427,7 @@ def run_lasso_suite(cfg: LassoConfig) -> RunReport:
     per-record error series backs iteration-count comparisons across
     variants.
     """
+    require(cfg.target, "target", strict=False)     # a NaN target is never reached
     records = []
     for seed in cfg.seeds:
         instance = cfg.instance(seed)

@@ -29,17 +29,15 @@ the lab are made for smooth instances only.
 
 from __future__ import annotations
 
-from .errors import ParameterError
+from .errors import require
 from .solvers import Problem, SolverState, StepConfig, step_davis_yin
 from .space import Element
 
 
 def resolvent_of_yosida(A, lam: float, mu: float, x: Element) -> Element:
     """Resolvent of the mu-regularization of A; exact J_{lam*A} at mu = 0."""
-    if lam <= 0:
-        raise ParameterError(f"lam must be > 0, got {lam}")
-    if mu < 0:
-        raise ParameterError(f"mu must be >= 0, got {mu}")
+    require(lam, "lam")
+    require(mu, "mu", strict=False)
     if A is None:
         return x
     if mu == 0.0:

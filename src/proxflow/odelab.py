@@ -33,7 +33,7 @@ import numpy as np
 from . import damping as damping_mod
 from . import prox
 from .damping import ConstantDamping, DecayingDamping, Schedule
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, require
 from .solvers import METHODS, Problem, SolverState, StepConfig, check_method
 from .space import Element, as_element, norm
 
@@ -81,8 +81,7 @@ def reference_trajectory(
     """
     if steps < 1:
         raise ParameterError(f"steps must be >= 1, got {steps}")
-    if T <= t0:
-        raise ParameterError(f"need T > t0, got T={T}, t0={t0}")
+    require(T - t0, "time span T - t0")
     x0 = as_element(x0, "x0")
     grad = flow.grad.grad
     dt = (T - t0) / steps

@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, require
 from .space import Element, as_element, check_same_shape
 
 
@@ -34,9 +34,7 @@ from .space import Element, as_element, check_same_shape
 
 def soft_threshold(v: Element, tau: float) -> Element:
     """Shrink each entry toward zero by ``tau``; ties |v_i| = tau map to 0."""
-    if tau < 0:
-        raise ParameterError(f"threshold must be >= 0, got {tau}")
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    return np.sign(v) * np.maximum(np.abs(v) - require(tau, "threshold", strict=False), 0.0)
 
 
 def grad_check(w, x: Element) -> float:
@@ -144,25 +142,21 @@ class L1:
     """Weighted l1 norm ``weight * sum(|x_i|)`` (nonsmooth, prox only)."""
 
     def __init__(self, weight: float):
-        if weight < 0:
-            raise ParameterError(f"l1 weight must be >= 0, got {weight}")
-        self.weight = float(weight)
+        self.weight = float(require(weight, "l1 weight", strict=False))
 
     def value(self, x: Element) -> float:
         return self.weight * float(np.sum(np.abs(x)))
 
     def prox(self, v: Element, lam: float) -> Element:
-        if lam <= 0:
-            raise ParameterError(f"prox parameter must be > 0, got {lam}")
-        return soft_threshold(v, lam * self.weight)
+        return soft_threshold(v, require(lam, "prox parameter") * self.weight)
 
 
 class Box:
     """Indicator of the box [lo, hi]^n; prox is the clamp for any lam > 0."""
 
     def __init__(self, lo: float, hi: float):
-        if lo > hi:
-            raise ParameterError(f"empty box: lo={lo} > hi={hi}")
+        if not lo <= hi:    # also refuses a NaN bound; infinite bounds are allowed
+            raise ParameterError(f"box needs lo <= hi, got lo={lo}, hi={hi}")
         self.lo = float(lo)
         self.hi = float(hi)
 
@@ -170,8 +164,7 @@ class Box:
         return 0.0 if bool(np.all(x >= self.lo) and np.all(x <= self.hi)) else np.inf
 
     def prox(self, v: Element, lam: float) -> Element:
-        if lam <= 0:
-            raise ParameterError(f"prox parameter must be > 0, got {lam}")
+        require(lam, "prox parameter")
         return np.clip(v, self.lo, self.hi)
 
 
@@ -179,17 +172,13 @@ class Nuclear:
     """Weighted nuclear norm of a matrix; prox is singular-value shrinkage (full SVD)."""
 
     def __init__(self, weight: float):
-        if weight < 0:
-            raise ParameterError(f"nuclear weight must be >= 0, got {weight}")
-        self.weight = float(weight)
+        self.weight = float(require(weight, "nuclear weight", strict=False))
 
     def value(self, x: Element) -> float:
         return self.weight * float(np.sum(np.linalg.svd(x, compute_uv=False)))
 
     def prox(self, v: Element, lam: float) -> Element:
-        if lam <= 0:
-            raise ParameterError(f"prox parameter must be > 0, got {lam}")
-        tau = lam * self.weight
+        tau = require(lam, "prox parameter") * self.weight
         try:
             u, s, vt = np.linalg.svd(v, full_matrices=False)
         except np.linalg.LinAlgError as exc:
@@ -240,11 +229,9 @@ class LeastSquares:
         return gram_spectral_norm(self.A)
 
     def prox(self, v: Element, lam: float) -> Element:
-        if lam <= 0:
-            raise ParameterError(f"prox parameter must be > 0, got {lam}")
         if v.shape[0] != self.A.shape[1]:
             raise ParameterError(f"v has shape {v.shape}, expected ({self.A.shape[1]},)")
-        inverse, shift = self._factor(lam)
+        inverse, shift = self._factor(require(lam, "prox parameter"))
         if not self._wide:
             return inverse @ (v + shift)
         # the inverse maps lam*(A v - b) to lam*w
@@ -277,9 +264,7 @@ class Quadratic:
         return float(np.max(np.linalg.eigvalsh(self.P)))
 
     def prox(self, v: Element, lam: float) -> Element:
-        if lam <= 0:
-            raise ParameterError(f"prox parameter must be > 0, got {lam}")
-        inverse, shift = self._factor(lam)
+        inverse, shift = self._factor(require(lam, "prox parameter"))
         return inverse @ (v + shift)
 
 
@@ -292,12 +277,8 @@ class HuberL1:
     """
 
     def __init__(self, weight: float, delta: float = 1e-3):
-        if weight < 0:
-            raise ParameterError(f"weight must be >= 0, got {weight}")
-        if delta <= 0:
-            raise ParameterError(f"delta must be > 0, got {delta}")
-        self.weight = float(weight)
-        self.delta = float(delta)
+        self.weight = float(require(weight, "huber weight", strict=False))
+        self.delta = float(require(delta, "huber delta"))
 
     def value(self, x: Element) -> float:
         a = np.abs(x)
@@ -312,9 +293,7 @@ class HuberL1:
         return self.weight / self.delta
 
     def prox(self, v: Element, lam: float) -> Element:
-        if lam <= 0:
-            raise ParameterError(f"prox parameter must be > 0, got {lam}")
-        tau = lam * self.weight
+        tau = require(lam, "prox parameter") * self.weight
         inner = v * (self.delta / (self.delta + tau))
         outer = v - tau * np.sign(v)
         return np.where(np.abs(v) <= self.delta + tau, inner, outer)
@@ -345,6 +324,9 @@ class MaskedQuadratic:
         return 1.0
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 class FunctionOracle:
     """Wrap explicit value/grad callables (smooth term without a prox)."""
 
@@ -356,4 +338,8 @@ class FunctionOracle:
         return float(self._value(x))
 
     def grad(self, x: Element) -> Element:
-        return np.asarray(self._grad(x), dtype=np.float64)
+        g = self._grad(x)
+        # a float64 ndarray is returned as it is, which is what asarray returns
+        if type(g) is np.ndarray and g.dtype is _FLOAT64:
+            return g
+        return np.asarray(g, dtype=np.float64)

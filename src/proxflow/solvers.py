@@ -38,7 +38,7 @@ import numpy as np
 
 from . import damping, space
 from .damping import NoDamping, Schedule
-from .errors import ConfigurationError, Frozen, ParameterError
+from .errors import ConfigurationError, Frozen, ParameterError, require
 from .space import Element
 
 DIVERGENCE_NORM = 1e12
@@ -85,9 +85,7 @@ class StepConfig(Frozen):
     """
 
     def __init__(self, lam: float, schedule: Schedule = NoDamping()):
-        self.__dict__.update(lam=lam, schedule=schedule)
-        if lam <= 0:
-            raise ParameterError(f"lam must be > 0, got {lam}")
+        self.__dict__.update(lam=require(lam, "lam"), schedule=schedule)
         if schedule is None:
             raise ParameterError("schedule is None; pass NoDamping() for no momentum")
         if schedule.accelerated and schedule.r2 * self.h > 1:
@@ -249,9 +247,7 @@ def dy_fixed_point_operator(problem: Problem, lam: float, x: Element) -> Element
     where C denotes the reflection 2*J - I.  One Davis-Yin step with no
     momentum satisfies x_{k+1} = P(xhat_k).
     """
-    if lam <= 0:
-        raise ParameterError(f"lam must be > 0, got {lam}")
-    x_q = problem.prox_f(x, lam)
+    x_q = problem.prox_f(x, require(lam, "lam"))
     w_q = lam * problem.grad_w(x_q)
     c_f = 2.0 * x_q - x
     arg = c_f - w_q
@@ -267,6 +263,7 @@ StopRule = Callable[[SolverState, float], bool]
 
 def stop_on_residual(tol: float = 1e-10) -> StopRule:
     """Stop once the per-iteration fixed-point residual drops below ``tol``."""
+    require(tol, "tol", strict=False)
 
     def rule(state: SolverState, value: float) -> bool:
         return state.residual <= tol
@@ -280,6 +277,7 @@ def stop_on_estimate_change(tol: float = 1e-10) -> StopRule:
     The rule remembers the previous estimate and forgets it at each run's
     first step (k = 1), so one rule may serve several runs.
     """
+    require(tol, "tol", strict=False)
     prev: list[Element | None] = [None]
 
     def rule(state: SolverState, value: float) -> bool:

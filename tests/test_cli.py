@@ -71,6 +71,39 @@ def test_solve_momentum_zero_at_every_k_exits_one_before_any_work(tmp_path, monk
     assert out == "" and "r2*h = 1.58 > 1" in err
 
 
+_QUAD_FB = ["solve", "--instance", "quad-desk", "--method", "fb"]
+
+
+@pytest.mark.parametrize("argv,name", [
+    (_QUAD_FB + ["--lambda", "nan"], "lam"),
+    (_QUAD_FB + ["--lambda", "inf"], "lam"),
+    (_QUAD_FB + ["--lambda", "0.1", "--damping", "decaying", "--r", "inf"],
+     "decaying damping r"),
+    (_QUAD_FB + ["--lambda", "0.1", "--damping", "constant", "--r", "nan"],
+     "constant damping r"),
+    (_QUAD_FB + ["--lambda", "0.1", "--damping", "combined", "--r1", "nan", "--r2", "0.5"],
+     "combined damping r1"),
+    (_QUAD_FB + ["--lambda", "0.1", "--tol", "nan"], "tol"),
+    (["order-check", "--method", "fb", "--damping", "constant", "--r", "nan"],
+     "constant damping r"),
+    (["lasso", "--seeds", ","], "--seeds"),
+], ids=["lambda-nan", "lambda-inf", "decaying-r-inf", "constant-r-nan", "combined-r1-nan",
+        "tol-nan", "order-check-r-nan", "lasso-no-seeds"])
+def test_non_finite_or_empty_parameter_exits_one_before_any_work(tmp_path, monkeypatch,
+                                                                 capsys, argv, name):
+    from proxflow import experiments, odelab
+
+    work = []
+    for owner, attr in ((cli, "run"), (odelab, "local_error_order"),
+                        (experiments, "run_lasso_suite")):
+        monkeypatch.setattr(owner, attr, lambda *args, **kwargs: work.append(args))
+    code = cli.main(argv + ["--outdir", str(tmp_path)])
+    assert code == 1
+    assert not work and list(tmp_path.iterdir()) == []
+    out, err = capsys.readouterr()
+    assert out == "" and name in err
+
+
 def test_solve_missing_lambda_exits_one(capsys):
     code = cli.main(["solve", "--method", "dy", "--instance", "lasso-desk"])
     assert code == 1

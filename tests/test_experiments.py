@@ -120,15 +120,16 @@ def test_reference_solution_dual_implementation_agreement():
 @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
 def test_reference_solution_rejects_tol_not_above_zero(tol):
     # a NaN tol would never be reached: the driver would run to its cap
-    with pytest.raises(ParameterError, match="tol must be > 0"):
+    with pytest.raises(ParameterError, match="tol must be finite and > 0"):
         reference_solution(gen_lasso(20, 50, seed=6), tol=tol, max_iters=200)
 
 
 def test_reference_solution_reports_best_on_cap():
+    # this instance converges, by a polish, at iteration 21
     inst = gen_lasso(20, 50, seed=6)
-    ref = reference_solution(inst, tol=1e-16, max_iters=50)
+    ref = reference_solution(inst, tol=1e-16, max_iters=10)
     assert not ref.converged
-    assert ref.iterations == 50
+    assert ref.iterations == 10
     assert math.isfinite(ref.residual)
 
 
@@ -145,10 +146,11 @@ def kkt_violation(inst: LassoInstance, x) -> float:
 def test_reference_solution_desk_seeds_polished():
     # plain forward-backward at 0.5/L settles the signs by 825 + 450 + 1,100
     # = 2,375 steps on these instances (and alone needs 10,036 to reach tol);
-    # accelerated forward-backward with restart settles them by 100 + 100 + 150 = 350
+    # accelerated forward-backward at 0.5/L, checked every 25 steps, by
+    # 100 + 100 + 150 = 350; at 1/L, checked every step, by 55 + 48 + 65 = 168
     instances = [gen_lasso(50, 250, seed=s) for s in (1, 3, 4)]
     refs = [reference_solution(inst, tol=1e-12) for inst in instances]
-    assert sum(ref.iterations for ref in refs) <= 600
+    assert sum(ref.iterations for ref in refs) <= 200
     for inst, ref in zip(instances, refs):
         assert ref.converged and ref.residual <= 1e-12
         assert kkt_violation(inst, ref.x) <= 1e-10 * inst.alpha
@@ -164,6 +166,16 @@ def test_reference_solution_desk_seeds_end_at_a_polish():
             ref.x, experiments._support_polish(inst.A, inst.b, inst.alpha, np.sign(ref.x)))
 
 
+def test_reference_solution_polishes_where_the_step_reaches_tol():
+    # the step reaches tol 1e-8 at iteration 3, before any sign pattern can
+    # have held for 3 iterations; the iterate itself has residual 1.6e-9
+    inst = gen_lasso(5, 5, seed=11, alpha_ratio=0.998)
+    ref = reference_solution(inst, tol=1e-8)
+    assert ref.iterations == 3 and ref.residual <= 1e-15
+    assert np.array_equal(
+        ref.x, experiments._support_polish(inst.A, inst.b, inst.alpha, np.sign(ref.x)))
+
+
 @st.composite
 def small_lasso_instances(draw):
     m = draw(st.integers(5, 30))
@@ -174,10 +186,10 @@ def small_lasso_instances(draw):
 
 
 @given(small_lasso_instances())
-# 5x5, no planted signal (b is 1e-3 noise), alpha = 7.6e-4: the iteration
-# reaches tol at step 21, before the first sign check, where its own
-# iterate violates the optimality conditions by 3.8e-9*alpha; only the
-# polish tried on reaching tol meets them
+# 5x5, no planted signal (b is 1e-3 noise), alpha = 7.6e-4: accelerated
+# forward-backward at 0.5/L reaches tol at step 21 with an iterate that
+# violates the optimality conditions by 3.8e-9*alpha; only a polish meets
+# them (here the one at step 4, after the sign pattern of step 1 held)
 @example(gen_lasso(5, 5, seed=0, alpha_ratio=0.998))
 def test_reference_solution_is_optimal_property(inst):
     ref = reference_solution(inst, tol=1e-12)

@@ -335,6 +335,20 @@ def test_grad_check_affine(rng):
     assert prox.grad_check(w, rng.standard_normal(3)) <= 1e-8
 
 
+class _Sub(np.ndarray):
+    pass
+
+
+def test_function_oracle_grad_converts_only_what_is_not_a_float64_array():
+    g = np.array([1.0, -2.0])
+    assert prox.FunctionOracle(value=float, grad=lambda x: g).grad(g) is g
+    for raw in ([1, -2], np.array([1, -2]), np.array([1.0, -2.0], dtype=np.float32),
+                np.array([1.0, -2.0], dtype=">f8"), g.view(_Sub)):
+        got = prox.FunctionOracle(value=float, grad=lambda x: raw).grad(g)
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.dtype.isnative
+        assert np.array_equal(got, g)
+
+
 def test_grad_check_huber(rng):
     w = prox.HuberL1(0.7, delta=0.05)
     x = rng.standard_normal(5)

@@ -44,6 +44,9 @@ COMMANDS = {
     # r2*h = 5*sqrt(0.1) > 1: refused before any work
     "solve-quad-dy-constant-r5": ["solve", "--instance", "quad-desk", "--method", "dy",
                                   "--damping", "constant", "--r", "5", "--lambda", "0.1"],
+    # a non-finite parameter: refused before any work
+    "solve-quad-fb-lambda-nan": ["solve", "--instance", "quad-desk", "--method", "fb",
+                                 "--lambda", "nan"],
     "solve-matcomp-dy": ["solve", "--instance", "matcomp-desk", "--method", "dy",
                          "--lambda", "1.0"],
     "order-dy-constant": ["order-check", "--method", "dy", "--damping", "constant",
