@@ -205,8 +205,8 @@ def cmd_matcomp(args) -> int:
 
 def _seeds(value: str) -> tuple[int, ...]:
     seeds = tuple(int(s) for s in value.split(",") if s.strip())
-    if not seeds:
-        raise ParameterError("seeds must list at least one seed")
+    if not seeds:     # argparse prints the text of this error type only
+        raise argparse.ArgumentTypeError("seeds must list at least one seed")
     return seeds
 
 
@@ -255,7 +255,7 @@ def _apply_config(args) -> None:
     for key, value in data.items():
         try:
             parsed = readers[key](value)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ParameterError(f"{args.config}: bad {key} = {value!r}: {exc}") from None
         if getattr(args, key) in (None, False):     # explicit flags win
             setattr(args, key, parsed)

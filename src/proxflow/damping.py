@@ -29,23 +29,14 @@ from __future__ import annotations
 
 from typing import Union
 
-from .errors import Frozen, ParameterError, require
+from .errors import ParameterError, Value, require
 from .space import Element, check_same_shape
 
 
-class NoDamping(Frozen):
+class NoDamping(Value):
     """No acceleration: gamma_k = 0 for all k."""
 
     accelerated = False
-
-    def __eq__(self, other):
-        return True if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(())
-
-    def __repr__(self):
-        return "NoDamping()"
 
     def gamma(self, k: int, h: float) -> float:
         return 0.0
@@ -54,7 +45,7 @@ class NoDamping(Frozen):
         return 0.0
 
 
-class Damping(Frozen):
+class Damping(Value):
     """Damping eta(t) = r1/t + r2; a zero r1 or r2 drops its term.  With
     r2 = 0 it is the decaying regime, which requires r1 >= 3."""
 
@@ -66,17 +57,6 @@ class Damping(Frozen):
         if not r2 and r1 < 3:
             raise ParameterError(f"decaying damping requires r >= 3, got {r1}"
                                  " (NoDamping() is no momentum)")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.r1, self.r2) == (other.r1, other.r2)
-
-    def __hash__(self):
-        return hash((self.r1, self.r2))
-
-    def __repr__(self):
-        return f"Damping(r1={self.r1!r}, r2={self.r2!r})"
 
     def gamma(self, k: int, h: float) -> float:
         return max((k / (k + self.r1) if self.r1 else 1.0) - self.r2 * h, 0.0)

@@ -1,5 +1,12 @@
 """Exception types shared across the toolkit, the admissibility rule of its
-numeric parameters, and the rule of its frozen values."""
+numeric parameters, and the one rule of its run-loop values.
+
+The run-loop values derive from :class:`Frozen` (immutable, printed as
+``Name(field=value, ...)``, compared by identity) and, where they are
+parameters rather than records of a run, from :class:`Value`, which
+compares and hashes them by field: ``NoDamping``, ``Damping`` and
+``StepConfig`` are values; ``Problem`` and ``SolverState`` are frozen
+records; the mutable ``Trace`` borrows only the repr."""
 
 import math
 
@@ -41,10 +48,27 @@ class Frozen:
     """Base of the immutable run-loop values: ``__init__`` fills the
     instance ``__dict__`` directly, and assigning or deleting an attribute
     afterwards raises AttributeError.  pickle and copy restore the
-    ``__dict__`` without calling ``__setattr__``, so both round-trip."""
+    ``__dict__`` without calling ``__setattr__``, so both round-trip.  The
+    repr is ``Name(field=value, ...)`` in field order; equality and hash
+    are by identity (see :class:`Value`)."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class Value(Frozen):
+    """A frozen value that compares and hashes by its fields: equal to an
+    instance of the same class with equal fields, never to another class."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))

@@ -71,6 +71,8 @@ def gen_lasso(
     """
     if not 0 < sparsity < 1:
         raise ParameterError(f"sparsity must be in (0, 1), got {sparsity}")
+    require(noise_std, "noise_std", strict=False)
+    require(alpha_ratio, "alpha_ratio", strict=False)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     # column norms accumulated row by row, as np.linalg.norm(A, axis=0)
@@ -239,6 +241,7 @@ def gen_matcomp(
         raise ParameterError(f"rank {rank} exceeds min(n, m) = {min(n, m)}")
     if not 0 < s <= 1:
         raise ParameterError(f"sampling fraction must be in (0, 1], got {s}")
+    require(entry_mean, "entry_mean", -math.inf)
     rng = np.random.default_rng(seed)
     L1 = entry_mean + rng.standard_normal((n, rank))
     L2 = entry_mean + rng.standard_normal((m, rank))

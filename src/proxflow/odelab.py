@@ -37,6 +37,8 @@ from .errors import NumericalError, ParameterError, require
 from .solvers import METHODS, Problem, SolverState, StepConfig, check_method
 from .space import Element, as_element, norm
 
+RK_SUBSTEPS = 64        # RK4 steps of the reference flow over one solver step
+
 
 @dataclass(frozen=True)
 class GradientFlow:
@@ -199,7 +201,6 @@ def local_error_order(
     h_values,
     x0: Element,
     t0: float = 1.0,
-    rk_substeps: int = 64,
 ) -> OrderFit:
     """Fit the one-step error of a solver step against the reference flow.
 
@@ -252,8 +253,7 @@ def local_error_order(
             flow, t_start = GradientFlow(total), 0.0
         state = SolverState(x=x0, x_prev=x_prev, x_hat=x_hat, c=c, k=k0, estimate=x0)
         new = step_fn(state, problem, cfg)
-        ref = reference_trajectory(flow, x0, v0, t0=t_start, T=t_start + h,
-                                   steps=rk_substeps)
+        ref = reference_trajectory(flow, x0, v0, t0=t_start, T=t_start + h, steps=RK_SUBSTEPS)
         errors.append(norm(new.x - ref.xs[-1]))
         if not 0 < errors[-1] < math.inf:
             raise ParameterError(f"one-step error at h = {h:g} is {errors[-1]}; "

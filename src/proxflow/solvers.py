@@ -38,14 +38,15 @@ import numpy as np
 
 from . import damping, space
 from .damping import NoDamping, Schedule
-from .errors import ConfigurationError, Frozen, ParameterError, require
+from .errors import ConfigurationError, Frozen, ParameterError, Value, require
 from .space import Element
 
 DIVERGENCE_NORM = 1e12
 
 
 class Problem(Frozen):
-    """Three-term split; absent terms behave as the zero function."""
+    """Three-term split; absent terms behave as the zero function, whose
+    gradient is the scalar 0.0 (``x - lam*0.0`` is ``x`` bit for bit)."""
 
     def __init__(self, f: object | None = None, g: object | None = None,
                  w: object | None = None):
@@ -53,17 +54,14 @@ class Problem(Frozen):
         if f is None and g is None and w is None:
             raise ConfigurationError("at least one of f, g, w must be present")
 
-    def __repr__(self):
-        return f"Problem(f={self.f!r}, g={self.g!r}, w={self.w!r})"
-
     def prox_f(self, v: Element, lam: float) -> Element:
         return v if self.f is None else self.f.prox(v, lam)
 
     def prox_g(self, v: Element, lam: float) -> Element:
         return v if self.g is None else self.g.prox(v, lam)
 
-    def grad_w(self, x: Element) -> Element:
-        return np.zeros_like(x) if self.w is None else self.w.grad(x)
+    def grad_w(self, x: Element) -> Element | float:
+        return 0.0 if self.w is None else self.w.grad(x)
 
     def value(self, x: Element) -> float | None:
         """Objective F(x) when every present term can report a value."""
@@ -77,7 +75,7 @@ class Problem(Frozen):
         return total
 
 
-class StepConfig(Frozen):
+class StepConfig(Value):
     """Prox parameter and momentum schedule for one solver run.
 
     The step scale used by the schedule is derived: h = sqrt(lam) in
@@ -92,17 +90,6 @@ class StepConfig(Frozen):
             raise ParameterError(
                 f"damping r2*h = {schedule.r2 * self.h:.3g} > 1 (h = sqrt(lam), "
                 f"lam = {lam}) clamps the momentum to 0 at every k; lower r2 or lam")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lam, self.schedule) == (other.lam, other.schedule)
-
-    def __hash__(self):
-        return hash((self.lam, self.schedule))
-
-    def __repr__(self):
-        return f"StepConfig(lam={self.lam!r}, schedule={self.schedule!r})"
 
     @property
     def h(self) -> float:
@@ -126,9 +113,6 @@ class SolverState(Frozen):
                  residual: float = math.nan):
         self.__dict__.update(x=x, x_prev=x_prev, x_hat=x_hat, c=c, k=k,
                              last_half=last_half, estimate=estimate, residual=residual)
-
-    def __repr__(self):
-        return "SolverState({})".format(", ".join(f"{k}={v!r}" for k, v in vars(self).items()))
 
 
 def initial_state(x0: Element) -> SolverState:
@@ -309,8 +293,7 @@ class Trace:
         self.objectives, self.residuals, self.times = objectives, residuals, times
         self.status = status
 
-    def __repr__(self):
-        return "Trace({})".format(", ".join(f"{k}={v!r}" for k, v in vars(self).items()))
+    __repr__ = Frozen.__repr__
 
     def __len__(self) -> int:
         return len(self.objectives)

@@ -420,6 +420,15 @@ def test_config_bad_value_names_key_and_file(tmp_path, capsys, line, key):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_empty_seed_list_gives_its_reason_from_flag_and_config(tmp_path, capsys):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("seeds = ,\n")
+    for argv in (["lasso", "--seeds", ","], ["lasso", "--config", str(cfg)]):
+        assert cli.main(argv + ["--outdir", str(tmp_path)]) == 1
+        assert "seeds must list at least one seed" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_config_booleans_accept_no(tmp_path, capsys):
     cfg = tmp_path / "suite.cfg"
     cfg.write_text("seeds = 0\nvariants = dy\nmax_iters = 5\nanneal = no\npaper_scale = 0\n")

@@ -242,14 +242,13 @@ def test_local_error_order_translation_invariant():
     assert fit_shifted.slope == pytest.approx(fit.slope, abs=1e-4)
 
 
-def test_local_error_order_oracle_resolution_insensitive():
+def test_local_error_order_oracle_resolution_insensitive(monkeypatch):
     # halving the RK substep changes the measured errors by under 1%
     problem = quadratic_problem(seed=7)
     x0 = np.array([1.2, -0.7, 0.4])
-    fit1 = local_error_order("dy", problem, ConstantDamping(1.0), H_GRID, x0=x0,
-                             rk_substeps=64)
-    fit2 = local_error_order("dy", problem, ConstantDamping(1.0), H_GRID, x0=x0,
-                             rk_substeps=128)
+    fit1 = local_error_order("dy", problem, ConstantDamping(1.0), H_GRID, x0=x0)
+    monkeypatch.setattr(odelab, "RK_SUBSTEPS", 2 * odelab.RK_SUBSTEPS)
+    fit2 = local_error_order("dy", problem, ConstantDamping(1.0), H_GRID, x0=x0)
     np.testing.assert_allclose(fit2.errors, fit1.errors, rtol=1e-2)
 
 

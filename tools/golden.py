@@ -58,6 +58,8 @@ COMMANDS = {
     "order-h-min-0": ["order-check", "--method", "dy", "--h-min", "0"],
     "rates": ["rates"],
     "lasso-desk": ["lasso", "--desk"],
+    # an empty seed list: refused with its reason
+    "lasso-seeds-empty": ["lasso", "--seeds", ","],
     "matcomp-single": ["matcomp", "--desk"],
     "matcomp-anneal": ["matcomp", "--desk", "--anneal"],
 }
