@@ -9,8 +9,9 @@ lasso        the twelve-variant regression suite; per-run + aggregate CSVs
 matcomp      the completion suite (single weight or --anneal)
 
 Exit codes: 0 success/converged, 1 bad arguments (a NaN, infinite or
-out-of-range numeric parameter or an empty seed list, refused before any
-work; also an unreadable config file or an unwritable output path), 2
+out-of-range numeric parameter, an empty seed list, a seed that is not an
+integer or an unknown variant, refused before any work; also an
+unreadable config file or an unwritable output path), 2
 not converged (or slope or rate fit outside its band / partial suite
 failure), 3 diverged, fit failure, or NumericalError (a factorization or
 decomposition failed, a reference trajectory left float range, or a
@@ -204,10 +205,16 @@ def cmd_matcomp(args) -> int:
 
 
 def _seeds(value: str) -> tuple[int, ...]:
-    seeds = tuple(int(s) for s in value.split(",") if s.strip())
-    if not seeds:     # argparse prints the text of this error type only
+    # argparse prints the text of ArgumentTypeError only
+    seeds = []
+    for entry in filter(str.strip, value.split(",")):
+        try:
+            seeds.append(int(entry))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"seed {entry.strip()!r} is not an integer") from None
+    if not seeds:
         raise argparse.ArgumentTypeError("seeds must list at least one seed")
-    return seeds
+    return tuple(seeds)
 
 
 def _yes(value: str) -> bool:

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import prox
-from .damping import schedule_for
+from .damping import ConstantDamping, DecayingDamping, NoDamping
 from .errors import ConfigurationError, NumericalError, ParameterError, require
 from .solvers import (
     Problem,
@@ -359,48 +359,49 @@ def _variant_name(family: str, damping: str) -> str:
     return family if damping == "none" else f"{family}-{damping}"
 
 
-def _variant_steps(cfg, families, r_constant: float):
-    """(variant, family, StepConfig) for each of ``cfg.variants``; the
-    decaying variants take ``cfg.r_decaying``, the constant ones ``r_constant``."""
-    for variant in cfg.variants:
-        parts = variant.split("-")
-        family, damping = parts[0], parts[1] if len(parts) > 1 else "none"
-        if family not in families or damping not in DAMPINGS or len(parts) > 2:
+def _variant_steps(variants, families, lam: float, r_constant: float):
+    """(variant, family, StepConfig) for each of ``variants``, all resolved
+    before a suite does any work, so an unknown name is refused up front.
+    The decaying variants take ``DecayingDamping``'s default rate, the
+    constant ones ``r_constant``."""
+    schedules = {"none": NoDamping(), "decaying": DecayingDamping(),
+                 "constant": ConstantDamping(r_constant)}
+    # "family" or "family-damping": (variant, family, damping)
+    named = [(v, *v.split("-", 1)) if "-" in v else (v, v, "none") for v in variants]
+    for variant, family, damping in named:
+        if family not in families or damping not in schedules:
             raise ConfigurationError(f"unknown variant {variant!r}")
-        r = cfg.r_decaying if damping == "decaying" else r_constant
-        yield variant, family, StepConfig(lam=cfg.lam, schedule=schedule_for(damping, r))
+    return [(v, f, StepConfig(lam=lam, schedule=schedules[d])) for v, f, d in named]
 
 
 # ---------------------------------------------------------------------------
 # the two suites
 
 
+# The forward-backward-forward family is only stable for lam < 1/L, and
+# lam = 0.1 sits exactly at that boundary for unit-column designs with
+# n/m = 5 (L concentrates near 10 with a few percent of seed-to-seed
+# spread).  The default desk seeds are ones whose instances satisfy the
+# stability requirement for every family; seeds with L > 10 make Tseng
+# diverge, which is the method's documented behavior at that step size.
+LASSO_LAM = 0.1
+LASSO_R_CONSTANT = 0.5
+REFERENCE_TOL = 1e-12       # fixed-point residual the reference solution must reach
+
+
 @dataclass(frozen=True)
 class LassoConfig:
-    # The forward-backward-forward family is only stable for lam < 1/L, and
-    # lam = 0.1 sits exactly at that boundary for unit-column designs with
-    # n/m = 5 (L concentrates near 10 with a few percent of seed-to-seed
-    # spread).  The default desk seeds are ones whose instances satisfy the
-    # stability requirement for every family; seeds with L > 10 make Tseng
-    # diverge, which is the method's documented behavior at that step size.
     m: int = 50
     n: int = 250
-    sparsity: float = 0.95
-    noise_std: float = 1e-3
     seeds: tuple[int, ...] = (1, 3, 4)
-    lam: float = 0.1
-    alpha_ratio: float = 0.1
-    r_decaying: float = 3.0
-    r_constant: float = 0.5
     target: float = 1e-6        # relative objective error to reach
     max_iters: int = 200_000
-    reference_tol: float = 1e-12
     variants: tuple[str, ...] = tuple(
         _variant_name(f, d) for f in LASSO_FAMILIES for d in DAMPINGS
     )
 
     def instance(self, seed: int) -> LassoInstance:
-        return gen_lasso(self.m, self.n, self.sparsity, self.noise_std, seed, self.alpha_ratio)
+        return gen_lasso(self.m, self.n, seed=seed)
 
 
 def paper_scale_lasso(cfg: LassoConfig | None = None) -> LassoConfig:
@@ -424,25 +425,27 @@ def run_lasso_suite(cfg: LassoConfig) -> RunReport:
     """Run the configured variants on each seed's instance.
 
     Each run stops when |F_k - F*| / F* falls below ``cfg.target`` (F
-    evaluated at the solution estimate) or at the iteration cap.  A
-    reference solution F* that misses ``cfg.reference_tol`` raises
-    ``NumericalError`` before any variant runs on that seed.  The
-    per-record error series backs iteration-count comparisons across
-    variants.
+    evaluated at the solution estimate) or at the iteration cap.  An
+    unknown variant raises ``ConfigurationError`` before any reference
+    solution is computed.  A reference solution F* that misses
+    ``REFERENCE_TOL`` raises ``NumericalError`` before any variant runs on
+    that seed.  The per-record error series backs iteration-count
+    comparisons across variants.
     """
     require(cfg.target, "target", strict=False)     # a NaN target is never reached
+    steps = _variant_steps(cfg.variants, LASSO_FAMILIES, LASSO_LAM, LASSO_R_CONSTANT)
     records = []
     for seed in cfg.seeds:
         instance = cfg.instance(seed)
-        ref = reference_solution(instance, tol=cfg.reference_tol)
+        ref = reference_solution(instance, tol=REFERENCE_TOL)
         if not ref.converged:
             raise NumericalError(
                 f"reference solution for seed {seed} did not converge: residual "
                 f"{ref.residual:.3e} after {ref.iterations} iterations, "
-                f"tolerance {cfg.reference_tol:.3e}"
+                f"tolerance {REFERENCE_TOL:.3e}"
             )
         f_star = ref.value
-        for variant, family, step_cfg in _variant_steps(cfg, LASSO_FAMILIES, cfg.r_constant):
+        for variant, family, step_cfg in steps:
             problem = lasso_problem(instance, family)
             _, trace = run(
                 family, problem, step_cfg, np.zeros(cfg.n),
@@ -452,6 +455,14 @@ def run_lasso_suite(cfg: LassoConfig) -> RunReport:
             records.append(RunRecord(variant=variant, seed=seed, status=trace.status,
                                      errors=trace.objectives))
     return RunReport(records)
+
+
+MATCOMP_LAM = 1.0
+# the constant-damping rate of each mode, which also names the modes
+MATCOMP_R_CONSTANT = {"single": 0.1, "anneal": 0.5}
+MATCOMP_STOP_TOL = 1e-10    # relative change of the estimate
+ANNEAL_DELTA = 0.25
+ANNEAL_ALPHA_BAR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -465,22 +476,14 @@ class MatCompConfig:
     m: int = 40
     rank: int = 3
     s: float = 0.5
-    entry_mean: float = 3.0
     seeds: tuple[int, ...] = (0, 2, 3)
-    lam: float = 1.0
-    r_decaying: float = 3.0
-    r_constant_single: float = 0.1
-    r_constant_anneal: float = 0.5
-    stop_tol: float = 1e-10     # relative change of the estimate
     max_iters: int = 50_000
-    delta: float = 0.25
-    alpha_bar: float = 1e-8
     variants: tuple[str, ...] = tuple(
         _variant_name(f, d) for f in MATCOMP_FAMILIES for d in DAMPINGS
     )
 
     def instance(self, seed: int) -> MatCompInstance:
-        return gen_matcomp(self.n, self.m, self.rank, self.s, self.entry_mean, seed)
+        return gen_matcomp(self.n, self.m, self.rank, self.s, seed=seed)
 
 
 def paper_scale_matcomp(cfg: MatCompConfig | None = None) -> MatCompConfig:
@@ -508,18 +511,19 @@ def run_matcomp_suite(cfg: MatCompConfig, mode: str = "single") -> RunReport:
     (singular values above 1e-6 of the largest) is that of the final
     step's nuclear-prox output, ``state.last_half``, for both families.
     """
-    if mode not in ("single", "anneal"):
+    if mode not in MATCOMP_R_CONSTANT:
         raise ConfigurationError(f"mode must be 'single' or 'anneal', got {mode!r}")
-    r_constant = cfg.r_constant_single if mode == "single" else cfg.r_constant_anneal
+    steps = _variant_steps(cfg.variants, MATCOMP_FAMILIES, MATCOMP_LAM,
+                           MATCOMP_R_CONSTANT[mode])
     records = []
     for seed in cfg.seeds:
         instance = cfg.instance(seed)
         if mode == "single":
             alphas = [matched_single_alpha(instance)]
         else:
-            alphas = anneal_schedule(cfg.delta, cfg.delta * norm(instance.observed),
-                                     cfg.alpha_bar)
-        for variant, family, step_cfg in _variant_steps(cfg, MATCOMP_FAMILIES, r_constant):
+            alphas = anneal_schedule(ANNEAL_DELTA, ANNEAL_DELTA * norm(instance.observed),
+                                     ANNEAL_ALPHA_BAR)
+        for variant, family, step_cfg in steps:
             records.append(_matcomp_run(instance, family, variant, alphas, step_cfg, cfg))
     return RunReport(records)
 
@@ -532,7 +536,7 @@ def _matcomp_run(instance, family, variant, alphas, step_cfg, cfg) -> RunRecord:
     for j, alpha in enumerate(alphas):
         state, trace = run(
             family, matcomp_problem(instance, alpha), step_cfg, x0,
-            stop=stop_on_estimate_change(cfg.stop_tol), max_iters=cfg.max_iters,
+            stop=stop_on_estimate_change(MATCOMP_STOP_TOL), max_iters=cfg.max_iters,
             measure=lambda state: instance.relative_error(state.estimate),
         )
         # a warm-started stage's row 0 is measured at the previous stage's

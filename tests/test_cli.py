@@ -422,10 +422,12 @@ def test_config_bad_value_names_key_and_file(tmp_path, capsys, line, key):
 
 def test_empty_seed_list_gives_its_reason_from_flag_and_config(tmp_path, capsys):
     cfg = tmp_path / "suite.cfg"
-    cfg.write_text("seeds = ,\n")
-    for argv in (["lasso", "--seeds", ","], ["lasso", "--config", str(cfg)]):
-        assert cli.main(argv + ["--outdir", str(tmp_path)]) == 1
-        assert "seeds must list at least one seed" in capsys.readouterr().err
+    for seeds, reason in ((",", "seeds must list at least one seed"),
+                          ("0,one", "seed 'one' is not an integer")):
+        cfg.write_text(f"seeds = {seeds}\n")
+        for argv in (["lasso", "--seeds", seeds], ["lasso", "--config", str(cfg)]):
+            assert cli.main(argv + ["--outdir", str(tmp_path)]) == 1
+            assert reason in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

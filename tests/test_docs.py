@@ -30,7 +30,7 @@ def _count_lines():
                                                   ROOT / "tools" / "count_lines.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.count
+    return module
 
 
 def test_count_lines_skips_docstrings_comments_and_blanks():
@@ -44,4 +44,30 @@ def test_count_lines_skips_docstrings_comments_and_blanks():
         "    2])\n"
     )
     # 7 physical lines; only the statement's three count
-    assert _count_lines()(source) == (7, 3)
+    assert _count_lines().count(source) == (7, 3)
+
+
+def test_count_lines_counts_settable_fields_of_config_dataclasses():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "\n"
+        "@dataclass(frozen=True)\n"
+        "class SuiteConfig:\n"
+        "    n: int = 4\n"
+        "    seeds: tuple = (0,)\n"
+        "    LIMIT = 9\n"               # not annotated: not a field
+        "    def instance(self): return self.n\n"
+        "\n"
+        "@dataclasses.dataclass\n"
+        "class RunConfig:\n"
+        "    tol: float\n"
+        "\n"
+        "class PlainConfig:\n"         # not a dataclass
+        "    n: int = 4\n"
+        "\n"
+        "@dataclass\n"
+        "class Record:\n"              # not named *Config
+        "    n: int = 4\n"
+    )
+    assert _count_lines().config_fields(source) == {"SuiteConfig": 2, "RunConfig": 1}

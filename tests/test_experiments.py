@@ -410,10 +410,25 @@ def test_matcomp_suite_rejects_unknown_mode():
         run_matcomp_suite(SMALL_MATCOMP, mode="warp")
 
 
-def test_suites_reject_unknown_variants():
+def test_suites_reject_unknown_variants(monkeypatch):
+    # every variant is resolved before any work: a valid one listed first
+    # is neither solved nor given a reference solution
     from proxflow.errors import ConfigurationError
 
+    calls = []
+
+    def spy(name, real):
+        def record(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return record
+
+    for name in ("run", "reference_solution"):
+        monkeypatch.setattr(experiments, name, spy(name, getattr(experiments, name)))
     with pytest.raises(ConfigurationError):
         run_lasso_suite(replace(SMALL_LASSO, variants=("fb", "sor")))
-    with pytest.raises(ConfigurationError):
-        run_matcomp_suite(replace(SMALL_MATCOMP, variants=("dy-constant-x",)))
+    for mode in ("single", "anneal"):
+        with pytest.raises(ConfigurationError):
+            run_matcomp_suite(replace(SMALL_MATCOMP, variants=("dy", "dy-constant-x")),
+                              mode=mode)
+    assert calls == []

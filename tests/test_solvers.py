@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import centered_quadratic_problem, quadratic_problem
 from proxflow import prox, space
@@ -115,13 +117,24 @@ def test_admm_reduces_to_textbook_admm(rng):
         assert space.norm(-lam * new.c - u_new) <= 1e-12
 
 
-def test_davis_yin_reduces_to_douglas_rachford(rng):
-    inst = gen_lasso(12, 30, seed=6)
+@st.composite
+def lasso_cases(draw):
+    """(m, n, lam, seed): a lasso instance with n >= m and a step size."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(m, 4 * m))
+    return m, n, draw(st.floats(0.01, 2.0)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=50)
+@given(lasso_cases())
+def test_davis_yin_reduces_to_douglas_rachford(case):
+    m, n, lam, seed = case
+    inst = gen_lasso(m, n, seed=seed)
     problem = lasso_problem(inst, "dr")      # f = least squares, g = l1, w absent
-    lam = 0.4
     cfg = StepConfig(lam=lam)
-    for _ in range(100):
-        state = random_state(rng, 30)
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        state = random_state(rng, n)
         new = step_davis_yin(state, problem, cfg)
         x = state.x_hat
         jf = problem.f.prox(x, lam)
@@ -130,13 +143,16 @@ def test_davis_yin_reduces_to_douglas_rachford(rng):
         assert space.norm(new.x - expected) <= 1e-12
 
 
-def test_davis_yin_reduces_to_proximal_gradient(rng):
-    inst = gen_lasso(12, 30, seed=7)
+@settings(max_examples=50)
+@given(lasso_cases())
+def test_davis_yin_reduces_to_proximal_gradient(case):
+    m, n, lam, seed = case
+    inst = gen_lasso(m, n, seed=seed)
     problem = lasso_problem(inst, "fb")      # f absent, g = l1, w = least squares
-    lam = 0.1
     cfg = StepConfig(lam=lam)
-    for _ in range(100):
-        state = random_state(rng, 30)
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        state = random_state(rng, n)
         new = step_davis_yin(state, problem, cfg)
         x = state.x_hat
         expected = problem.g.prox(x - lam * problem.w.grad(x), lam)

@@ -1,8 +1,11 @@
-"""Size of the package: ``wc -l`` and logical lines per module.
+"""Size of the package: ``wc -l`` and logical lines per module, and the
+settable fields of its config classes.
 
 A logical line is a physical line that holds code: blank lines, comment
 lines and docstrings are not counted; a statement over three lines counts
-three.  Standard library only.
+three.  A config class is a ``@dataclass`` whose name ends in ``Config``;
+each annotated field in its body is one value a caller can set.  Standard
+library only.
 
     python tools/count_lines.py [PACKAGE_DIR]     # default: src/proxflow
 """
@@ -33,16 +36,46 @@ def count(source: str) -> tuple[int, int]:
     return source.count("\n"), len(code)
 
 
+def config_fields(source: str) -> dict[str, int]:
+    """Settable fields of each ``@dataclass`` class named ``*Config``."""
+    counts = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Config") and any(
+                _decorator_name(d) == "dataclass" for d in node.decorator_list):
+            counts[node.name] = sum(isinstance(stmt, ast.AnnAssign)
+                                    and isinstance(stmt.target, ast.Name)
+                                    for stmt in node.body)
+    return counts
+
+
+def _decorator_name(node: ast.expr) -> str | None:
+    """``dataclass`` for ``@dataclass``, ``@dataclass(...)`` and
+    ``@dataclasses.dataclass(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def main(argv: list[str]) -> None:
     package = Path(argv[0] if argv else "src/proxflow")
     totals = [0, 0]
+    fields = {}
     print(f"{'module':<16} {'wc -l':>6} {'logical':>8}")
     for path in sorted(package.glob("*.py")):
-        wc, logical = count(path.read_text(encoding="utf-8"))
+        source = path.read_text(encoding="utf-8")
+        wc, logical = count(source)
         totals[0] += wc
         totals[1] += logical
+        fields.update(config_fields(source))
         print(f"{path.name:<16} {wc:>6} {logical:>8}")
     print(f"{'total':<16} {totals[0]:>6} {totals[1]:>8}")
+    print()
+    print(f"{'config':<16} {'fields':>6}")
+    for name, n in fields.items():
+        print(f"{name:<16} {n:>6}")
+    print(f"{'total':<16} {sum(fields.values()):>6}")
 
 
 if __name__ == "__main__":
