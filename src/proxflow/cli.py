@@ -10,7 +10,8 @@ matcomp      the completion suite (single weight or --anneal)
 
 Exit codes: 0 success/converged, 1 bad arguments (a NaN, infinite or
 out-of-range numeric parameter, an empty seed list, a seed that is not an
-integer or an unknown variant, refused before any work; also an
+integer, an unknown variant or an alias such as fb-none for fb, or a
+variant or seed listed twice, refused before any work; also an
 unreadable config file or an unwritable output path), 2
 not converged (or slope or rate fit outside its band / partial suite
 failure), 3 diverged, fit failure, or NumericalError (a factorization or
@@ -36,8 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import csvio, experiments, odelab, prox
-from .damping import schedule_for
+from . import csvio, damping, experiments, odelab, prox
 from .errors import NumericalError, ParameterError, require
 from .solvers import (
     METHODS,
@@ -100,7 +100,7 @@ def _quad_problem_for(method: str) -> Problem:
 
 
 def cmd_solve(args) -> int:
-    schedule = schedule_for(args.damping, args.r, args.r1, args.r2)
+    schedule = damping.schedule_for(args.damping, args.r, args.r1, args.r2)
     cfg = StepConfig(lam=args.lam, schedule=schedule)
     matcomp = args.instance.startswith("matcomp")
     stop = (stop_on_estimate_change if matcomp else stop_on_residual)(args.tol)
@@ -121,7 +121,7 @@ def cmd_solve(args) -> int:
 
 def cmd_order_check(args) -> int:
     problem = _quad_problem_for(args.method)
-    schedule = schedule_for(args.damping, args.r, args.r1, args.r2)
+    schedule = damping.schedule_for(args.damping, args.r, args.r1, args.r2)
     for flag, h in (("--h-min", args.h_min), ("--h-max", args.h_max)):
         require(h, flag)
     hs = np.logspace(math.log10(args.h_min), math.log10(args.h_max), args.points)
@@ -274,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_damping(p):
-        p.add_argument("--damping", choices=("none", "decaying", "constant", "combined"),
-                       default="none")
+        p.add_argument("--damping", choices=damping.NAMES, default="none")
         p.add_argument("--r", type=float, default=None)
         p.add_argument("--r1", type=float, default=None)
         p.add_argument("--r2", type=float, default=None)

@@ -82,15 +82,19 @@ def CombinedDamping(r1: float, r2: float) -> Damping:
 
 Schedule = Union[NoDamping, Damping]
 
+# the damping names, each resolved by schedule_for (the CLI's --damping choices)
+NAMES = ("none", "decaying", "constant", "combined")
+
 
 def schedule_for(name: str, r: float | None = None, r1: float | None = None,
                  r2: float | None = None) -> Schedule:
-    """The schedule a damping name selects: "none", "decaying" (r, default
-    3), "constant" (r) or "combined" (r1 and r2)."""
+    """The schedule a damping name in :data:`NAMES` selects: "none",
+    "decaying" (r, default ``DecayingDamping()``'s), "constant" (r) or
+    "combined" (r1 and r2)."""
     if name == "none":
         return NoDamping()
     if name == "decaying":
-        return DecayingDamping(3.0 if r is None else r)
+        return DecayingDamping() if r is None else DecayingDamping(r)
     if name == "constant":
         if r is None:
             raise ParameterError("constant damping requires r")

@@ -352,26 +352,30 @@ class RunReport:
 
 LASSO_FAMILIES = ("admm", "dr", "fb", "tseng")
 MATCOMP_FAMILIES = ("dy", "admm")
-DAMPINGS = ("none", "decaying", "constant")
 
 
-def _variant_name(family: str, damping: str) -> str:
-    return family if damping == "none" else f"{family}-{damping}"
+def _variant_table(families, lam: float, r_constant: float) -> dict:
+    """A suite's variants: name -> (family, StepConfig).  Each family runs
+    plain ("fb"), with decaying damping at ``DecayingDamping()``'s rate
+    ("fb-decaying") and with constant damping at ``r_constant``
+    ("fb-constant"), in that order; no other name is a variant."""
+    regimes = {"": NoDamping(), "-decaying": DecayingDamping(),
+               "-constant": ConstantDamping(r_constant)}
+    return {family + suffix: (family, StepConfig(lam=lam, schedule=schedule))
+            for family in families for suffix, schedule in regimes.items()}
 
 
-def _variant_steps(variants, families, lam: float, r_constant: float):
-    """(variant, family, StepConfig) for each of ``variants``, all resolved
-    before a suite does any work, so an unknown name is refused up front.
-    The decaying variants take ``DecayingDamping``'s default rate, the
-    constant ones ``r_constant``."""
-    schedules = {"none": NoDamping(), "decaying": DecayingDamping(),
-                 "constant": ConstantDamping(r_constant)}
-    # "family" or "family-damping": (variant, family, damping)
-    named = [(v, *v.split("-", 1)) if "-" in v else (v, v, "none") for v in variants]
-    for variant, family, damping in named:
-        if family not in families or damping not in schedules:
-            raise ConfigurationError(f"unknown variant {variant!r}")
-    return [(v, f, StepConfig(lam=lam, schedule=schedules[d])) for v, f, d in named]
+def _resolve(cfg, table) -> list:
+    """(variant, family, StepConfig) for each of ``cfg.variants``, resolved
+    before a suite does any work: a name that is not in ``table``, or a
+    variant or seed listed twice, raises ConfigurationError."""
+    for what, listed in (("variant", cfg.variants), ("seed", cfg.seeds)):
+        if len(set(listed)) < len(listed):      # the most frequent entry is a repeat
+            raise ConfigurationError(f"{what} {max(listed, key=listed.count)!r} is listed twice")
+    for variant in cfg.variants:
+        if variant not in table:
+            raise ConfigurationError(f"unknown variant {variant!r}; variants: {', '.join(table)}")
+    return [(variant, *table[variant]) for variant in cfg.variants]
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +401,7 @@ class LassoConfig:
     target: float = 1e-6        # relative objective error to reach
     max_iters: int = 200_000
     variants: tuple[str, ...] = tuple(
-        _variant_name(f, d) for f in LASSO_FAMILIES for d in DAMPINGS
-    )
+        _variant_table(LASSO_FAMILIES, LASSO_LAM, LASSO_R_CONSTANT))
 
     def instance(self, seed: int) -> LassoInstance:
         return gen_lasso(self.m, self.n, seed=seed)
@@ -426,14 +429,15 @@ def run_lasso_suite(cfg: LassoConfig) -> RunReport:
 
     Each run stops when |F_k - F*| / F* falls below ``cfg.target`` (F
     evaluated at the solution estimate) or at the iteration cap.  An
-    unknown variant raises ``ConfigurationError`` before any reference
-    solution is computed.  A reference solution F* that misses
-    ``REFERENCE_TOL`` raises ``NumericalError`` before any variant runs on
-    that seed.  The per-record error series backs iteration-count
-    comparisons across variants.
+    unknown variant, or a variant or seed listed twice, raises
+    ``ConfigurationError`` before any reference solution is computed.  A
+    reference solution F* that misses ``REFERENCE_TOL`` raises
+    ``NumericalError`` before any variant runs on that seed.  The
+    per-record error series backs iteration-count comparisons across
+    variants.
     """
     require(cfg.target, "target", strict=False)     # a NaN target is never reached
-    steps = _variant_steps(cfg.variants, LASSO_FAMILIES, LASSO_LAM, LASSO_R_CONSTANT)
+    steps = _resolve(cfg, _variant_table(LASSO_FAMILIES, LASSO_LAM, LASSO_R_CONSTANT))
     records = []
     for seed in cfg.seeds:
         instance = cfg.instance(seed)
@@ -478,9 +482,9 @@ class MatCompConfig:
     s: float = 0.5
     seeds: tuple[int, ...] = (0, 2, 3)
     max_iters: int = 50_000
+    # the variant names are the same in both modes
     variants: tuple[str, ...] = tuple(
-        _variant_name(f, d) for f in MATCOMP_FAMILIES for d in DAMPINGS
-    )
+        _variant_table(MATCOMP_FAMILIES, MATCOMP_LAM, MATCOMP_R_CONSTANT["single"]))
 
     def instance(self, seed: int) -> MatCompInstance:
         return gen_matcomp(self.n, self.m, self.rank, self.s, seed=seed)
@@ -510,11 +514,12 @@ def run_matcomp_suite(cfg: MatCompConfig, mode: str = "single") -> RunReport:
     reports summed iterations plus a per-stage log.  The reported rank
     (singular values above 1e-6 of the largest) is that of the final
     step's nuclear-prox output, ``state.last_half``, for both families.
+    An unknown variant, or a variant or seed listed twice, raises
+    ``ConfigurationError`` before any instance is generated.
     """
     if mode not in MATCOMP_R_CONSTANT:
         raise ConfigurationError(f"mode must be 'single' or 'anneal', got {mode!r}")
-    steps = _variant_steps(cfg.variants, MATCOMP_FAMILIES, MATCOMP_LAM,
-                           MATCOMP_R_CONSTANT[mode])
+    steps = _resolve(cfg, _variant_table(MATCOMP_FAMILIES, MATCOMP_LAM, MATCOMP_R_CONSTANT[mode]))
     records = []
     for seed in cfg.seeds:
         instance = cfg.instance(seed)

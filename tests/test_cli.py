@@ -431,6 +431,20 @@ def test_empty_seed_list_gives_its_reason_from_flag_and_config(tmp_path, capsys)
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_repeated_variant_or_seed_exits_one_from_flag_and_config(tmp_path, capsys):
+    cfg = tmp_path / "suite.cfg"
+    for command, key, value, reason in (
+            ("lasso", "seeds", "1,1", "seed 1 is listed twice"),
+            ("lasso", "variants", "fb,fb", "variant 'fb' is listed twice"),
+            ("matcomp", "variants", "dy-none", "unknown variant 'dy-none'")):
+        cfg.write_text(f"{key} = {value}\n")
+        for argv in ([command, "--" + key, value], [command, "--config", str(cfg)]):
+            assert cli.main(argv + ["--outdir", str(tmp_path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"proxflow: error: {reason}")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_config_booleans_accept_no(tmp_path, capsys):
     cfg = tmp_path / "suite.cfg"
     cfg.write_text("seeds = 0\nvariants = dy\nmax_iters = 5\nanneal = no\npaper_scale = 0\n")

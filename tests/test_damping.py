@@ -126,6 +126,9 @@ def test_schedule_for_names():
     assert damping.schedule_for("decaying", 4.0) == DecayingDamping(4.0)
     assert damping.schedule_for("constant", 0.5) == ConstantDamping(0.5)
     assert damping.schedule_for("combined", r1=2.0, r2=0.4) == CombinedDamping(2.0, 0.4)
+    # every name the CLI offers resolves, in the order it offers them
+    assert [damping.schedule_for(name, r=3.0, r1=3.0, r2=0.5) for name in damping.NAMES] == [
+        NoDamping(), DecayingDamping(3.0), ConstantDamping(3.0), CombinedDamping(3.0, 0.5)]
     for name, kwargs in (("constant", {}), ("combined", {"r1": 2.0}), ("nope", {})):
         with pytest.raises(ParameterError):
             damping.schedule_for(name, **kwargs)

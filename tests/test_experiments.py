@@ -410,9 +410,19 @@ def test_matcomp_suite_rejects_unknown_mode():
         run_matcomp_suite(SMALL_MATCOMP, mode="warp")
 
 
+def test_default_variants_are_the_twelve_and_six_in_order():
+    assert LassoConfig().variants == (
+        "admm", "admm-decaying", "admm-constant", "dr", "dr-decaying", "dr-constant",
+        "fb", "fb-decaying", "fb-constant", "tseng", "tseng-decaying", "tseng-constant")
+    assert MatCompConfig().variants == (
+        "dy", "dy-decaying", "dy-constant", "admm", "admm-decaying", "admm-constant")
+
+
 def test_suites_reject_unknown_variants(monkeypatch):
     # every variant is resolved before any work: a valid one listed first
-    # is neither solved nor given a reference solution
+    # is neither solved nor given a reference solution.  Plain fb is named
+    # "fb" only, so "fb-none" is unknown; a variant or seed listed twice
+    # would solve the same run twice
     from proxflow.errors import ConfigurationError
 
     calls = []
@@ -425,10 +435,20 @@ def test_suites_reject_unknown_variants(monkeypatch):
 
     for name in ("run", "reference_solution"):
         monkeypatch.setattr(experiments, name, spy(name, getattr(experiments, name)))
-    with pytest.raises(ConfigurationError):
-        run_lasso_suite(replace(SMALL_LASSO, variants=("fb", "sor")))
+    for changes, message in (
+            (dict(variants=("fb", "sor")), "unknown variant 'sor'"),
+            (dict(variants=("fb", "fb-none")), "unknown variant 'fb-none'"),
+            (dict(variants=("fb", "fb-")), "unknown variant 'fb-'"),
+            (dict(variants=("fb", "fb-decaying", "fb")), "variant 'fb' is listed twice"),
+            (dict(variants=("fb",), seeds=(1, 2, 1)), "seed 1 is listed twice")):
+        with pytest.raises(ConfigurationError, match=message):
+            run_lasso_suite(replace(SMALL_LASSO, **changes))
     for mode in ("single", "anneal"):
-        with pytest.raises(ConfigurationError):
-            run_matcomp_suite(replace(SMALL_MATCOMP, variants=("dy", "dy-constant-x")),
-                              mode=mode)
+        for changes, message in (
+                (dict(variants=("dy", "dy-constant-x")), "unknown variant 'dy-constant-x'"),
+                (dict(variants=("dy", "dy-none")), "unknown variant 'dy-none'"),
+                (dict(variants=("dy", "dy")), "variant 'dy' is listed twice"),
+                (dict(variants=("dy",), seeds=(3, 3)), "seed 3 is listed twice")):
+            with pytest.raises(ConfigurationError, match=message):
+                run_matcomp_suite(replace(SMALL_MATCOMP, **changes), mode=mode)
     assert calls == []

@@ -407,6 +407,49 @@ def test_firm_nonexpansiveness(name, make, draw, rng):
         assert lhs <= rhs + 1e-10
 
 
+# the nonsmooth oracles at a drawn weight (the box is [-weight, weight]),
+# on points of a drawn shape, at a drawn lam
+_NONSMOOTH = {"l1": prox.L1, "box": lambda weight: prox.Box(-weight, weight),
+              "nuclear": prox.Nuclear, "huber": lambda weight: prox.HuberL1(weight, 0.1)}
+_nonsmooth_case = given(st.sampled_from(sorted(_NONSMOOTH)),
+                        st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+                        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                        st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+                        st.integers(0, 2**32 - 1))
+
+
+@_nonsmooth_case
+def test_nonsmooth_prox_optimality_property(kind, weight, shape, lam, seed):
+    # p = prox(v) minimizes value(p) + ||p - v||^2 / (2 lam): no small step
+    # from p lowers it, up to rounding of the objective itself
+    oracle, rng = _NONSMOOTH[kind](weight), np.random.default_rng(seed)
+
+    def objective(p, v):
+        return oracle.value(p) + space.norm(p - v) ** 2 / (2.0 * lam)
+
+    for _ in range(3):
+        v = 2.0 * rng.standard_normal(shape)
+        p = oracle.prox(v, lam)
+        base = objective(p, v)
+        assert np.isfinite(base)
+        for _ in range(20):
+            delta = rng.standard_normal(shape)
+            delta *= rng.random() * 0.1 / max(space.norm(delta), 1e-12)
+            assert base <= objective(p + delta, v) + 1e-12 * (1.0 + abs(base))
+
+
+@_nonsmooth_case
+def test_nonsmooth_firm_nonexpansiveness_property(kind, weight, shape, lam, seed):
+    # ||J u - J v||^2 <= <J u - J v, u - v>, up to rounding
+    oracle, rng = _NONSMOOTH[kind](weight), np.random.default_rng(seed)
+    for _ in range(10):
+        u, v = 2.0 * rng.standard_normal((2, *shape))
+        ju, jv = oracle.prox(u, lam), oracle.prox(v, lam)
+        lhs = space.norm(ju - jv) ** 2
+        rhs = space.inner(ju - jv, u - v)
+        assert lhs <= rhs + 1e-12 * (1.0 + space.norm(u - v) ** 2)
+
+
 @pytest.mark.parametrize("name,make,draw", [t for t in _LIBRARY
                                             if t[0] in ("least_squares", "quadratic", "huber")],
                          ids=["least_squares", "quadratic", "huber"])

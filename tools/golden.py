@@ -60,6 +60,10 @@ COMMANDS = {
     "lasso-desk": ["lasso", "--desk"],
     # an empty seed list: refused with its reason
     "lasso-seeds-empty": ["lasso", "--seeds", ","],
+    # plain fb is named "fb" only, and a seed listed twice would repeat a
+    # run: both refused before any work
+    "lasso-fb-none": ["lasso", "--variants", "fb-none", "--seeds", "1"],
+    "lasso-seeds-repeated": ["lasso", "--seeds", "1,1"],
     "matcomp-single": ["matcomp", "--desk"],
     "matcomp-anneal": ["matcomp", "--desk", "--anneal"],
 }
