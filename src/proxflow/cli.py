@@ -9,12 +9,12 @@ lasso        the twelve-variant regression suite; per-run + aggregate CSVs
 matcomp      the completion suite (single weight or --anneal)
 
 Exit codes: 0 success/converged, 1 bad arguments (a NaN, infinite or
-out-of-range numeric parameter, an empty seed list, a seed that is not an
-integer, an unknown variant or an alias such as fb-none for fb, or a
-variant or seed listed twice, refused before any work; also an
-unreadable config file or an unwritable output path), 2
-not converged (or slope or rate fit outside its band / partial suite
-failure), 3 diverged, fit failure, or NumericalError (a factorization or
+out-of-range numeric parameter, an empty seed or variant list, a seed
+that is not an integer, an unknown variant or an alias such as fb-none
+for fb, or a variant or seed listed twice, refused before any work; also
+an unreadable config file or an unwritable output path), 2 not converged
+(or slope or rate fit outside its band / partial suite failure), 3
+diverged, fit failure, or NumericalError (a factorization or
 decomposition failed, a reference trajectory left float range, or a
 lasso reference solution missed its tolerance).  Output CSVs land in
 --outdir (default: $PROXFLOW_OUTDIR or the working directory);
@@ -40,7 +40,9 @@ import numpy as np
 from . import csvio, damping, experiments, odelab, prox
 from .errors import NumericalError, ParameterError, require
 from .solvers import (
+    CONVERGED,
     METHODS,
+    STATUSES,
     Problem,
     StepConfig,
     method_spec,
@@ -49,13 +51,10 @@ from .solvers import (
     stop_on_residual,
 )
 
-EXIT_OK = 0
+# a run's exit code is its status's; the fit-band and NumericalError exits
+# reuse these codes, and no run ends with EXIT_BAD_ARGS
+EXIT_OK, EXIT_NOT_CONVERGED, EXIT_DIVERGED = STATUSES.values()
 EXIT_BAD_ARGS = 1
-EXIT_NOT_CONVERGED = 2
-EXIT_DIVERGED = 3
-
-_STATUS_EXIT = {"converged": EXIT_OK, "max-iters": EXIT_NOT_CONVERGED,
-                "diverged": EXIT_DIVERGED}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,7 +115,7 @@ def cmd_solve(args) -> int:
     print(f"status={trace.status} iterations={trace.iterations} "
           f"objective={obj:.12g} residual={trace.residuals[-1]:.3e}")
     print(f"trace written to {out}")
-    return _STATUS_EXIT[trace.status]
+    return STATUSES[trace.status]
 
 
 def cmd_order_check(args) -> int:
@@ -158,12 +157,9 @@ def _suite_config(cfg, paper_scale, args):
     """A suite's configuration with --paper-scale and explicit overrides."""
     if args.paper_scale:
         cfg = paper_scale(cfg)
-    if args.seeds is not None:
-        cfg = replace(cfg, seeds=args.seeds)
-    if args.variants is not None:
-        cfg = replace(cfg, variants=tuple(args.variants.split(",")))
-    if args.max_iters is not None:
-        cfg = replace(cfg, max_iters=args.max_iters)
+    for key in ("seeds", "variants", "max_iters"):
+        if getattr(args, key) is not None:
+            cfg = replace(cfg, **{key: getattr(args, key)})
     return cfg
 
 
@@ -184,7 +180,7 @@ def _write_report(report, outdir: Path, prefix: str, stages: bool = False) -> in
         print(f"{rec.variant} seed={rec.seed}: iters={rec.iterations} "
               f"status={rec.status} final_rel_error={rec.final_error:.3e}{rank}")
     print(f"aggregate written to {aggregate}")
-    failed = any(r.status != "converged" for r in report.records)
+    failed = any(r.status != CONVERGED for r in report.records)
     return EXIT_NOT_CONVERGED if failed else EXIT_OK
 
 
@@ -204,16 +200,22 @@ def cmd_matcomp(args) -> int:
 # config files and argument wiring
 
 
-def _seeds(value: str) -> tuple[int, ...]:
+def _listed(value: str, what: str = "variant") -> tuple[str, ...]:
+    """A comma list's entries, each stripped, blanks dropped; empty is refused."""
     # argparse prints the text of ArgumentTypeError only
+    entries = tuple(entry for entry in map(str.strip, value.split(",")) if entry)
+    if not entries:
+        raise argparse.ArgumentTypeError(f"{what}s must list at least one {what}")
+    return entries
+
+
+def _seeds(value: str) -> tuple[int, ...]:
     seeds = []
-    for entry in filter(str.strip, value.split(",")):
+    for entry in _listed(value, "seed"):
         try:
             seeds.append(int(entry))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"seed {entry.strip()!r} is not an integer") from None
-    if not seeds:
-        raise argparse.ArgumentTypeError("seeds must list at least one seed")
+            raise argparse.ArgumentTypeError(f"seed {entry!r} is not an integer") from None
     return tuple(seeds)
 
 
@@ -231,7 +233,8 @@ _SUITE_FLAGS = {
     "paper_scale": (_yes, dict(action="store_true", help="full-size study (slow)")),
     "anneal": (_yes, dict(action="store_true", help="annealed weight schedule")),
     "seeds": (_seeds, dict(type=_seeds, default=None, help="comma-separated seed list")),
-    "variants": (str, dict(default=None, help="comma-separated variant subset")),
+    "variants": (_listed, dict(type=_listed, default=None,
+                               help="comma-separated variant subset")),
     "max_iters": (int, dict(type=int, default=None)),
     "config": (None, dict(default=None)),
     "outdir": (str, dict(default=None)),

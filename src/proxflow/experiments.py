@@ -28,6 +28,7 @@ from . import prox
 from .damping import ConstantDamping, DecayingDamping, NoDamping
 from .errors import ConfigurationError, NumericalError, ParameterError, require
 from .solvers import (
+    CONVERGED,
     Problem,
     StepConfig,
     method_spec,
@@ -367,9 +368,12 @@ def _variant_table(families, lam: float, r_constant: float) -> dict:
 
 def _resolve(cfg, table) -> list:
     """(variant, family, StepConfig) for each of ``cfg.variants``, resolved
-    before a suite does any work: a name that is not in ``table``, or a
-    variant or seed listed twice, raises ConfigurationError."""
+    before a suite does any work: an empty list of variants or seeds, a name
+    that is not in ``table``, or a variant or seed listed twice, raises
+    ConfigurationError."""
     for what, listed in (("variant", cfg.variants), ("seed", cfg.seeds)):
+        if not listed:
+            raise ConfigurationError(f"{what}s must list at least one {what}")
         if len(set(listed)) < len(listed):      # the most frequent entry is a repeat
             raise ConfigurationError(f"{what} {max(listed, key=listed.count)!r} is listed twice")
     for variant in cfg.variants:
@@ -429,12 +433,12 @@ def run_lasso_suite(cfg: LassoConfig) -> RunReport:
 
     Each run stops when |F_k - F*| / F* falls below ``cfg.target`` (F
     evaluated at the solution estimate) or at the iteration cap.  An
-    unknown variant, or a variant or seed listed twice, raises
-    ``ConfigurationError`` before any reference solution is computed.  A
-    reference solution F* that misses ``REFERENCE_TOL`` raises
-    ``NumericalError`` before any variant runs on that seed.  The
-    per-record error series backs iteration-count comparisons across
-    variants.
+    empty list of variants or seeds, an unknown variant, or a variant or
+    seed listed twice, raises ``ConfigurationError`` before any reference
+    solution is computed.  A reference solution F* that misses
+    ``REFERENCE_TOL`` raises ``NumericalError`` before any variant runs on
+    that seed.  The per-record error series backs iteration-count
+    comparisons across variants.
     """
     require(cfg.target, "target", strict=False)     # a NaN target is never reached
     steps = _resolve(cfg, _variant_table(LASSO_FAMILIES, LASSO_LAM, LASSO_R_CONSTANT))
@@ -514,8 +518,9 @@ def run_matcomp_suite(cfg: MatCompConfig, mode: str = "single") -> RunReport:
     reports summed iterations plus a per-stage log.  The reported rank
     (singular values above 1e-6 of the largest) is that of the final
     step's nuclear-prox output, ``state.last_half``, for both families.
-    An unknown variant, or a variant or seed listed twice, raises
-    ``ConfigurationError`` before any instance is generated.
+    An empty list of variants or seeds, an unknown variant, or a variant
+    or seed listed twice, raises ``ConfigurationError`` before any instance
+    is generated.
     """
     if mode not in MATCOMP_R_CONSTANT:
         raise ConfigurationError(f"mode must be 'single' or 'anneal', got {mode!r}")
@@ -537,7 +542,7 @@ def _matcomp_run(instance, family, variant, alphas, step_cfg, cfg) -> RunRecord:
     x0 = instance.observed
     series = []
     stages = []
-    status = "converged"
+    status = CONVERGED
     for j, alpha in enumerate(alphas):
         state, trace = run(
             family, matcomp_problem(instance, alpha), step_cfg, x0,
@@ -547,7 +552,7 @@ def _matcomp_run(instance, family, variant, alphas, step_cfg, cfg) -> RunRecord:
         # a warm-started stage's row 0 is measured at the previous stage's
         # last estimate, so it repeats that stage's last row
         series.append(trace.objectives[1 if series else 0:])
-        if trace.status != "converged":
+        if trace.status != CONVERGED:
             status = trace.status
         stages.append(StageLog(stage=j, alpha=alpha, iterations=trace.iterations,
                                final_error=float(trace.objectives[-1])))

@@ -43,6 +43,11 @@ from .space import Element
 
 DIVERGENCE_NORM = 1e12
 
+# How a run ends, with the CLI exit code of each ending; a run counts as
+# converged exactly when its code is 0.
+STATUSES = {"converged": 0, "max-iters": 2, "diverged": 3}
+CONVERGED, MAX_ITERS, DIVERGED = STATUSES
+
 
 class Problem(Frozen):
     """Three-term split; absent terms behave as the zero function, whose
@@ -286,6 +291,7 @@ class Trace:
     forward-backward methods), NaN when the objective is unavailable.
     ``residuals`` holds each step's own fixed-point residual; row 0 is NaN
     (no step has been taken).  Row k is iteration k, so ``ks`` is 0..n-1.
+    ``status`` is a key of ``STATUSES``, the table of how a run ends.
     """
 
     def __init__(self, objectives: np.ndarray, residuals: np.ndarray, times: np.ndarray,
@@ -337,8 +343,9 @@ def run(
 
     Returns
     -------
-    (final_state, trace) where ``trace.status`` is "converged",
-    "max-iters" or "diverged" (iterate norm above 1e12 or non-finite).
+    (final_state, trace) where ``trace.status`` is a key of ``STATUSES``:
+    the stop rule fired, the budget ran out, or the iterate norm went
+    above 1e12 or non-finite, in that table's order.
     """
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
@@ -354,7 +361,7 @@ def run(
     residuals = [math.nan]
     start = time.perf_counter()
     times = [0.0]
-    status = "max-iters"
+    status = MAX_ITERS
 
     for _ in range(max_iters):
         state = step_fn(state, problem, cfg)
@@ -364,10 +371,10 @@ def run(
         times.append(time.perf_counter() - start)
         xnorm = space.norm(state.x)
         if not math.isfinite(xnorm) or xnorm > DIVERGENCE_NORM:
-            status = "diverged"
+            status = DIVERGED
             break
         if stop is not None and stop(state, value):
-            status = "converged"
+            status = CONVERGED
             break
 
     trace = Trace(

@@ -87,8 +87,11 @@ _QUAD_FB = ["solve", "--instance", "quad-desk", "--method", "fb"]
     (["order-check", "--method", "fb", "--damping", "constant", "--r", "nan"],
      "constant damping r"),
     (["lasso", "--seeds", ","], "--seeds"),
+    (["lasso", "--variants", ","], "variants must list at least one variant"),
+    (["lasso", "--variants", ""], "variants must list at least one variant"),
 ], ids=["lambda-nan", "lambda-inf", "decaying-r-inf", "constant-r-nan", "combined-r1-nan",
-        "tol-nan", "order-check-r-nan", "lasso-no-seeds"])
+        "tol-nan", "order-check-r-nan", "lasso-no-seeds", "lasso-no-variants",
+        "lasso-blank-variants"])
 def test_non_finite_or_empty_parameter_exits_one_before_any_work(tmp_path, monkeypatch,
                                                                  capsys, argv, name):
     from proxflow import experiments, odelab
@@ -429,6 +432,26 @@ def test_empty_seed_list_gives_its_reason_from_flag_and_config(tmp_path, capsys)
             assert cli.main(argv + ["--outdir", str(tmp_path)]) == 1
             assert reason in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_variants_and_seeds_read_one_comma_list_from_flag_and_config(tmp_path, capsys):
+    # each entry is stripped, in both lists and on both paths
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("variants = fb, fb-constant\nseeds = 1, 3\nmax_iters = 5\n")
+    for argv in (["lasso", "--variants", "fb, fb-constant", "--seeds", "1, 3",
+                  "--max-iters", "5"], ["lasso", "--config", str(cfg)]):
+        assert cli.main(argv + ["--outdir", str(tmp_path)]) == 2
+        out = capsys.readouterr().out
+        assert out.count("iters=5 status=max-iters") == 4
+        for variant in ("fb", "fb-constant"):
+            for seed in (1, 3):
+                assert f"{variant} seed={seed}: " in out
+    for value in (",", ""):
+        cfg.write_text(f"variants = {value}\n")
+        assert cli.main(["lasso", "--config", str(cfg), "--outdir", str(tmp_path / "x")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "variants must list at least one variant" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_repeated_variant_or_seed_exits_one_from_flag_and_config(tmp_path, capsys):

@@ -1,10 +1,11 @@
-"""The README's library example and CSV schema table, and the line counter."""
+"""The README's library example, CSV schema and run-status tables, and the line counter."""
 
 import importlib.util
 import re
 from pathlib import Path
 
 from proxflow import csvio
+from proxflow.solvers import STATUSES
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -23,6 +24,11 @@ def test_readme_library_example_solves_a_real_problem(capsys):
 def test_readme_schema_table_matches_csvio():
     rows = re.findall(r"^\| `(proxflow-[a-z]+-v\d+)` \| `([^`]*)` \|$", README, re.M)
     assert sorted(rows) == sorted(csvio.SCHEMAS.values())
+
+
+def test_readme_status_table_matches_solvers():
+    rows = re.findall(r"^\| `([a-z-]+)` \| `(\d+)` \|$", README, re.M)
+    assert [(name, int(code)) for name, code in rows] == list(STATUSES.items())
 
 
 def _count_lines():

@@ -422,7 +422,7 @@ def test_suites_reject_unknown_variants(monkeypatch):
     # every variant is resolved before any work: a valid one listed first
     # is neither solved nor given a reference solution.  Plain fb is named
     # "fb" only, so "fb-none" is unknown; a variant or seed listed twice
-    # would solve the same run twice
+    # would solve the same run twice, and an empty list would run nothing
     from proxflow.errors import ConfigurationError
 
     calls = []
@@ -440,7 +440,9 @@ def test_suites_reject_unknown_variants(monkeypatch):
             (dict(variants=("fb", "fb-none")), "unknown variant 'fb-none'"),
             (dict(variants=("fb", "fb-")), "unknown variant 'fb-'"),
             (dict(variants=("fb", "fb-decaying", "fb")), "variant 'fb' is listed twice"),
-            (dict(variants=("fb",), seeds=(1, 2, 1)), "seed 1 is listed twice")):
+            (dict(variants=("fb",), seeds=(1, 2, 1)), "seed 1 is listed twice"),
+            (dict(variants=()), "variants must list at least one variant"),
+            (dict(variants=("fb",), seeds=()), "seeds must list at least one seed")):
         with pytest.raises(ConfigurationError, match=message):
             run_lasso_suite(replace(SMALL_LASSO, **changes))
     for mode in ("single", "anneal"):
@@ -448,7 +450,9 @@ def test_suites_reject_unknown_variants(monkeypatch):
                 (dict(variants=("dy", "dy-constant-x")), "unknown variant 'dy-constant-x'"),
                 (dict(variants=("dy", "dy-none")), "unknown variant 'dy-none'"),
                 (dict(variants=("dy", "dy")), "variant 'dy' is listed twice"),
-                (dict(variants=("dy",), seeds=(3, 3)), "seed 3 is listed twice")):
+                (dict(variants=("dy",), seeds=(3, 3)), "seed 3 is listed twice"),
+                (dict(variants=()), "variants must list at least one variant"),
+                (dict(variants=("dy",), seeds=()), "seeds must list at least one seed")):
             with pytest.raises(ConfigurationError, match=message):
                 run_matcomp_suite(replace(SMALL_MATCOMP, **changes), mode=mode)
     assert calls == []

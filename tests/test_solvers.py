@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,8 +15,12 @@ from proxflow.damping import CombinedDamping, ConstantDamping, DecayingDamping, 
 from proxflow.errors import ConfigurationError, ParameterError
 from proxflow.experiments import gen_lasso, lasso_problem
 from proxflow.solvers import (
+    CONVERGED,
+    DIVERGED,
     DIVERGENCE_NORM,
+    MAX_ITERS,
     METHODS,
+    STATUSES,
     Problem,
     SolverState,
     StepConfig,
@@ -378,6 +385,40 @@ def test_divergence_guard_reports_diverged():
     state, trace = run("tseng", problem, StepConfig(lam=0.05), np.array([1.0]),
                        stop=stop_on_residual(1e-12), max_iters=2000)
     assert trace.status == "converged"
+
+
+def test_non_finite_iterate_reports_diverged():
+    # NaN fails every comparison, so only the finiteness test catches a NaN
+    # iterate; without it the run would spend its whole budget
+    calls = []
+
+    def grad(x):
+        calls.append(1)
+        return np.full_like(x, math.nan) if len(calls) == 4 else 2.0 * x
+
+    w = prox.FunctionOracle(lambda x: float(x @ x), grad)
+    state, trace = run("fb", Problem(g=prox.L1(1e-8), w=w), StepConfig(lam=0.1),
+                       np.array([1.0, -2.0]), max_iters=50)
+    assert trace.status == DIVERGED
+    assert trace.iterations == 4 and np.isnan(state.x).all()
+
+
+def test_status_names_bind_to_their_table_rows():
+    # the names are unpacked from the table in order, and only a converged
+    # run exits 0
+    assert (CONVERGED, MAX_ITERS, DIVERGED) == ("converged", "max-iters", "diverged")
+    assert STATUSES == {CONVERGED: 0, MAX_ITERS: 2, DIVERGED: 3}
+
+
+def test_benchmark_exit_codes_match_the_status_table(monkeypatch):
+    # the benchmark keeps its own copy so it can also run a tree without
+    # the table; a drift between the two must fail here, not mid-benchmark
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)     # its dataclasses look it up
+    spec.loader.exec_module(module)
+    assert module.EXIT_CODES == STATUSES
 
 
 def test_run_measures_every_state_once_from_the_initial_one():

@@ -47,6 +47,9 @@ COMMANDS = {
     # a non-finite parameter: refused before any work
     "solve-quad-fb-lambda-nan": ["solve", "--instance", "quad-desk", "--method", "fb",
                                  "--lambda", "nan"],
+    # three steps cannot meet the tolerance: status max-iters, exit 2
+    "solve-quad-dy-max-iters": ["solve", "--instance", "quad-desk", "--method", "dy",
+                                "--lambda", "0.1", "--max-iters", "3"],
     "solve-matcomp-dy": ["solve", "--instance", "matcomp-desk", "--method", "dy",
                          "--lambda", "1.0"],
     "order-dy-constant": ["order-check", "--method", "dy", "--damping", "constant",
