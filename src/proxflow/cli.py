@@ -11,19 +11,24 @@ matcomp      the completion suite (single weight or --anneal)
 Exit codes: 0 success/converged, 1 bad arguments (a NaN, infinite or
 out-of-range numeric parameter, an empty seed or variant list, a seed
 that is not an integer, an unknown variant or an alias such as fb-none
-for fb, or a variant or seed listed twice, refused before any work; also
-an unreadable config file or an unwritable output path), 2 not converged
-(or slope or rate fit outside its band / partial suite failure), 3
-diverged, fit failure, or NumericalError (a factorization or
-decomposition failed, a reference trajectory left float range, or a
-lasso reference solution missed its tolerance).  Output CSVs land in
---outdir (default: $PROXFLOW_OUTDIR or the working directory);
-reruns with identical flags and seeds overwrite them with identical
-content, wall-clock columns aside.
+for fb, a variant or seed listed twice, an order-check grid of fewer
+than 3 --points or an --h-min to --h-max range under 1.5 decades,
+--desk together with --paper-scale, or a config key listed twice,
+refused before any work; also an unreadable config file or an
+unwritable output path), 2 not converged (or slope or rate fit outside
+its band / partial suite failure), 3 diverged, an order fit that failed
+(a kept h with r2*h > 1, an h too small for its prox parameter, or a
+one-step error that is not finite and > 0), or NumericalError (a
+factorization or decomposition failed, a reference trajectory left
+float range, or a lasso reference solution missed its tolerance).
+Output CSVs land in --outdir (default: $PROXFLOW_OUTDIR or the working
+directory); reruns with identical flags and seeds overwrite them with
+identical content, wall-clock columns aside.
 
 Experiment flags can also be read from a plain-text config file
-(``key = value`` per line, ``#`` comments, UTF-8); unknown keys are
-rejected.  Explicit command-line flags override config values.
+(``key = value`` per line, ``#`` comments, UTF-8); unknown keys and a
+key listed twice are rejected.  Explicit command-line flags override
+config values.
 """
 
 from __future__ import annotations
@@ -123,6 +128,8 @@ def cmd_order_check(args) -> int:
     schedule = damping.schedule_for(args.damping, args.r, args.r1, args.r2)
     for flag, h in (("--h-min", args.h_min), ("--h-max", args.h_max)):
         require(h, flag)
+    odelab.check_grid(args.points, *sorted((args.h_min, args.h_max)),
+                      names=("--points", "--h-min and --h-max"))
     hs = np.logspace(math.log10(args.h_min), math.log10(args.h_max), args.points)
     try:
         fit = odelab.local_error_order(args.method, problem, schedule, hs,
@@ -135,7 +142,8 @@ def cmd_order_check(args) -> int:
     print(f"slope={fit.slope:.4f} intercept={fit.intercept:.4f} "
           f"r_squared={fit.r_squared:.6f}")
     print(f"fit data written to {out}")
-    return EXIT_OK if 1.8 <= fit.slope <= 2.2 else EXIT_NOT_CONVERGED
+    lo, hi = odelab.SLOPE_BAND
+    return EXIT_OK if lo <= fit.slope <= hi else EXIT_NOT_CONVERGED
 
 
 def cmd_rates(args) -> int:
@@ -155,6 +163,9 @@ def cmd_rates(args) -> int:
 
 def _suite_config(cfg, paper_scale, args):
     """A suite's configuration with --paper-scale and explicit overrides."""
+    if args.desk and args.paper_scale:
+        raise ParameterError("--desk and --paper-scale (or paper_scale = yes in a config "
+                             "file) ask for different scales; give one")
     if args.paper_scale:
         cfg = paper_scale(cfg)
     for key in ("seeds", "variants", "max_iters"):
@@ -256,6 +267,8 @@ def _apply_config(args) -> None:
         if "=" not in line:
             raise ParameterError(f"{args.config}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in data:
+            raise ParameterError(f"{args.config}:{lineno}: {key} is listed twice")
         data[key] = value
     unknown = set(data) - set(readers)
     if unknown:

@@ -42,7 +42,8 @@ RK_SUBSTEPS = 64        # RK4 steps of the reference flow over one solver step
 
 @dataclass(frozen=True)
 class GradientFlow:
-    """Descent flow xdot = -grad F(x) for a smooth oracle."""
+    """Descent flow xdot = -grad F(x) for any oracle with ``grad``, a
+    :class:`Problem` included."""
 
     second_order = False
     grad: object
@@ -171,27 +172,16 @@ def _line_fit(x, y) -> tuple[float, float, float]:
     return slope, float(y_mean - slope * x_mean), r2
 
 
-def total_gradient(problem: Problem):
-    """Gradient oracle of F = f + g + w; every present term must be smooth.
-
-    Its ``lipschitz()`` is the sum of the terms' gradient Lipschitz
-    estimates, or None unless every term reports one.
-    """
-    terms = [t for t in (problem.f, problem.g, problem.w) if t is not None]
-    for t in terms:
-        if not hasattr(t, "grad"):
-            raise ParameterError(f"term {type(t).__name__} has no gradient; "
-                                 "order measurement needs a smooth instance")
-
-    class _Total:
-        def grad(self, x):
-            return sum((t.grad(x) for t in terms), np.zeros_like(x))
-
-        def lipschitz(self):
-            ests = [t.lipschitz() if hasattr(t, "lipschitz") else None for t in terms]
-            return None if None in ests else sum(ests, 0.0)
-
-    return _Total()
+def check_grid(points: int, lo: float, hi: float,
+               names: tuple[str, str] = ("h_values", "h_values")) -> None:
+    """Refuse a grid of steps h that cannot carry an order fit: fewer than
+    3 points, or ends lo <= hi less than 1.5 decades apart.  ``names`` name
+    the point count and the ends in the message."""
+    if points < 3:
+        raise ParameterError(f"{names[0]}: an order fit needs at least 3 points, got {points}")
+    if not hi >= lo * 10 ** (1.5 - 1e-9):      # not log10(hi / lo): lo may be 0
+        raise ParameterError(f"{names[1]}: an order fit needs steps spanning at least "
+                             f"1.5 decades, got {lo:g} to {hi:g}")
 
 
 def local_error_order(
@@ -214,19 +204,19 @@ def local_error_order(
     give a slope near 2.
     """
     check_method(method, problem)
+    for t in (problem.f, problem.g, problem.w):
+        if t is not None and not hasattr(t, "grad"):
+            raise ParameterError(f"term {type(t).__name__} has no gradient; "
+                                 "order measurement needs a smooth instance")
     x0 = as_element(x0, "x0")
     h_values = sorted(float(h) for h in h_values)
-    if len(h_values) < 3:
-        raise ParameterError(f"need at least 3 points for an order fit, got {len(h_values)}")
+    check_grid(len(h_values), min(h_values, default=0.0), max(h_values, default=0.0))
     accelerated = schedule.accelerated
     # the prox parameter of the smallest step (h^2 may underflow to 0)
     if not (h_values[0] * h_values[0] if accelerated else h_values[0]) > 0:
         raise ParameterError(f"h = {h_values[0]:g} is too small: its prox parameter "
                              f"{'h^2' if accelerated else 'h'} is not > 0")
-    if math.log10(h_values[-1] / h_values[0]) < 1.5 - 1e-9:
-        raise ParameterError("h_values must span at least 1.5 decades")
-    total = total_gradient(problem)
-    L = total.lipschitz()
+    L = problem.lipschitz()
     if L is not None and L > 0:
         kept = [h for h in h_values if h <= 0.1 / math.sqrt(L)]
         if len(kept) >= 3:
@@ -247,10 +237,10 @@ def local_error_order(
             k0 = max(1, round(t0 / h))
             x_prev = x0 - h * v0
             x_hat = damping_mod.extrapolate(x0, x_prev, damping_mod.gamma(schedule, k0, h))
-            flow, t_start = AcceleratedFlow(total, schedule), k0 * h
+            flow, t_start = AcceleratedFlow(problem, schedule), k0 * h
         else:
             k0, x_prev, x_hat = 1, x0, x0
-            flow, t_start = GradientFlow(total), 0.0
+            flow, t_start = GradientFlow(problem), 0.0
         state = SolverState(x=x0, x_prev=x_prev, x_hat=x_hat, c=c, k=k0, estimate=x0)
         new = step_fn(state, problem, cfg)
         ref = reference_trajectory(flow, x0, v0, t0=t_start, T=t_start + h, steps=RK_SUBSTEPS)
@@ -347,6 +337,11 @@ class RateCase:
 
     def in_band(self, fitted: float) -> bool:
         return self.band[0] <= fitted <= self.band[1]
+
+
+# The band an order-check slope must fall in: a first-order step's local
+# error is O(h^2).  The rate cases below carry their own bands.
+SLOPE_BAND = (1.8, 2.2)
 
 
 def rate_cases() -> dict[str, RateCase]:

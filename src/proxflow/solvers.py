@@ -50,8 +50,10 @@ CONVERGED, MAX_ITERS, DIVERGED = STATUSES
 
 
 class Problem(Frozen):
-    """Three-term split; absent terms behave as the zero function, whose
-    gradient is the scalar 0.0 (``x - lam*0.0`` is ``x`` bit for bit)."""
+    """Three-term split of F = f + g + w; absent terms behave as the zero
+    function.  The steps read the split; :meth:`value`, :meth:`grad` and
+    :meth:`lipschitz` describe F itself.  An absent w has the scalar
+    gradient 0.0 (``x - lam*0.0`` is ``x`` bit for bit)."""
 
     def __init__(self, f: object | None = None, g: object | None = None,
                  w: object | None = None):
@@ -68,16 +70,25 @@ class Problem(Frozen):
     def grad_w(self, x: Element) -> Element | float:
         return 0.0 if self.w is None else self.w.grad(x)
 
-    def value(self, x: Element) -> float | None:
-        """Objective F(x) when every present term can report a value."""
+    def value(self, x: Element) -> float:
+        """Objective F(x); NaN unless every present term can report a value."""
         total = 0.0
         for term in (self.f, self.g, self.w):
-            if term is None:
-                continue
-            if not hasattr(term, "value"):
-                return None
-            total += term.value(x)
+            if term is not None:
+                total += term.value(x) if hasattr(term, "value") else math.nan
         return total
+
+    def grad(self, x: Element) -> Element:
+        """Gradient of F at x, the flow's field; every present term needs ``grad``."""
+        return sum((t.grad(x) for t in (self.f, self.g, self.w) if t is not None),
+                   np.zeros_like(x))
+
+    def lipschitz(self) -> float | None:
+        """Sum of the present terms' gradient Lipschitz estimates, or None
+        unless every term reports one."""
+        ests = [t.lipschitz() if hasattr(t, "lipschitz") else None
+                for t in (self.f, self.g, self.w) if t is not None]
+        return None if None in ests else sum(ests, 0.0)
 
 
 class StepConfig(Value):
@@ -353,8 +364,7 @@ def run(
     step_fn = METHODS[method][0]
     if measure is None:
         def measure(state):
-            val = problem.value(state.estimate)
-            return math.nan if val is None else val
+            return problem.value(state.estimate)
     state = initial_state(x0)
 
     values = [measure(state)]

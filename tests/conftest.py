@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,20 @@ settings.load_profile("deterministic")
 # out of the checkout, in a directory removed when the test process exits
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="proxflow-hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+@pytest.fixture
+def benchmark_workloads(monkeypatch):
+    """``perfbench/workloads.py``, loaded by path.  The benchmark keeps its
+    own copies of some tables so it can also run a tree without them; a
+    drift between a copy and the package must fail tier-1, not a benchmark
+    run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)     # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

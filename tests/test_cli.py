@@ -187,12 +187,28 @@ def test_order_check_slope_near_two(tmp_path, capsys, method, damping, r):
     assert len(rows) >= 3
 
 
-@pytest.mark.parametrize("points", ["0", "1", "2"])
-def test_order_check_degenerate_fit_exits_three(tmp_path, capsys, points):
-    code = cli.main(["order-check", "--method", "fb", "--damping", "none",
-                     "--points", points, "--outdir", str(tmp_path)])
-    assert code == 3
-    assert "order fit failed" in capsys.readouterr().err
+@pytest.mark.parametrize("flags,reason", [
+    (["--points", "0"], "--points: an order fit needs at least 3 points, got 0"),
+    (["--points", "1"], "--points: an order fit needs at least 3 points, got 1"),
+    (["--points", "2"], "--points: an order fit needs at least 3 points, got 2"),
+    (["--points", "-3"], "--points: an order fit needs at least 3 points, got -3"),
+    (["--h-min", "0.01", "--h-max", "0.02"], "--h-min and --h-max: an order fit needs "
+     "steps spanning at least 1.5 decades, got 0.01 to 0.02"),
+    (["--h-min", "0.02", "--h-max", "0.01"], "--h-min and --h-max: an order fit needs "
+     "steps spanning at least 1.5 decades, got 0.01 to 0.02"),
+], ids=["points-0", "points-1", "points-2", "points-minus-3", "range-0.3-decades",
+        "range-reversed"])
+def test_order_check_degenerate_grid_exits_one_before_any_work(tmp_path, monkeypatch, capsys,
+                                                               flags, reason):
+    from proxflow import odelab
+
+    work = []
+    monkeypatch.setattr(odelab, "local_error_order", lambda *args, **kw: work.append(args))
+    code = cli.main(["order-check", "--method", "fb", *flags, "--outdir", str(tmp_path)])
+    assert code == 1
+    assert not work and list(tmp_path.iterdir()) == []
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"proxflow: error: {reason}\n"
 
 
 def test_order_check_momentum_zero_at_a_fitted_h_exits_three(tmp_path, capsys):
@@ -466,6 +482,38 @@ def test_repeated_variant_or_seed_exits_one_from_flag_and_config(tmp_path, capsy
             out, err = capsys.readouterr()
             assert out == "" and err.startswith(f"proxflow: error: {reason}")
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_config_key_listed_twice_exits_one_before_any_work(tmp_path, monkeypatch, capsys):
+    # the first seeds line is bad and the variant unknown: the repeat is
+    # refused before either value is read
+    from proxflow import experiments
+
+    work = []
+    monkeypatch.setattr(experiments, "run_lasso_suite", lambda cfg: work.append(cfg))
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("seeds = ,\n# a comment\nseeds = 1\nvariants = nope\n")
+    assert cli.main(["lasso", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert not work and out == ""
+    assert err == f"proxflow: error: {cfg}:3: seeds is listed twice\n"
+
+
+@pytest.mark.parametrize("command", ["lasso", "matcomp"])
+def test_desk_with_paper_scale_exits_one_before_any_work(tmp_path, monkeypatch, capsys,
+                                                         command):
+    from proxflow import experiments
+
+    work = []
+    for attr in ("run_lasso_suite", "run_matcomp_suite"):
+        monkeypatch.setattr(experiments, attr, lambda *args, **kw: work.append(args))
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("paper_scale = yes\n")
+    for argv in ([command, "--desk", "--paper-scale"], [command, "--desk", "--config", str(cfg)]):
+        assert cli.main(argv + ["--outdir", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "--desk and --paper-scale" in err
+    assert not work and not list((tmp_path / "out").iterdir())
 
 
 def test_config_booleans_accept_no(tmp_path, capsys):

@@ -264,8 +264,26 @@ def test_local_error_order_refuses_zero_momentum_before_any_rk_work(monkeypatch)
 
 def test_local_error_order_degenerate_grid_rejected():
     problem = quadratic_problem(seed=7)
-    with pytest.raises(ParameterError):
-        local_error_order("dy", problem, NoDamping(), [1e-3, 2e-3], x0=np.zeros(3))
+    for hs, reason in (([], "at least 3 points, got 0"),
+                       ([1e-3, 2e-3], "at least 3 points, got 2"),
+                       ([1e-2, 1e-3, 5e-3], "steps spanning at least 1.5 decades, "
+                                            "got 0.001 to 0.01")):
+        with pytest.raises(ParameterError, match=f"^h_values: an order fit needs {reason}$"):
+            local_error_order("dy", problem, NoDamping(), hs, x0=np.zeros(3))
+
+
+def test_local_error_order_refuses_a_term_without_gradient_before_any_rk_work(monkeypatch):
+    work = []
+    monkeypatch.setattr(odelab, "reference_trajectory", lambda *args, **kw: work.append(args))
+    _, g, w = quadratic_triple(seed=7)
+    with pytest.raises(ParameterError, match="term L1 has no gradient"):
+        local_error_order("dy", Problem(f=prox.L1(1.0), g=g, w=w), NoDamping(), H_GRID,
+                          x0=np.zeros(3))
+    assert not work
+
+
+def test_slope_band_matches_the_benchmark_copy(benchmark_workloads):
+    assert benchmark_workloads.SLOPE_BAND == odelab.SLOPE_BAND
 
 
 @pytest.mark.parametrize("name", list(rate_cases()))

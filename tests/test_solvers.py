@@ -1,7 +1,4 @@
-import importlib.util
 import math
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import centered_quadratic_problem, quadratic_problem
-from proxflow import prox, space
+from proxflow import cli, prox, space
 from proxflow.damping import CombinedDamping, ConstantDamping, DecayingDamping, NoDamping
 from proxflow.errors import ConfigurationError, ParameterError
 from proxflow.experiments import gen_lasso, lasso_problem
@@ -410,15 +407,8 @@ def test_status_names_bind_to_their_table_rows():
     assert STATUSES == {CONVERGED: 0, MAX_ITERS: 2, DIVERGED: 3}
 
 
-def test_benchmark_exit_codes_match_the_status_table(monkeypatch):
-    # the benchmark keeps its own copy so it can also run a tree without
-    # the table; a drift between the two must fail here, not mid-benchmark
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)     # its dataclasses look it up
-    spec.loader.exec_module(module)
-    assert module.EXIT_CODES == STATUSES
+def test_benchmark_exit_codes_match_the_status_table(benchmark_workloads):
+    assert benchmark_workloads.EXIT_CODES == STATUSES
 
 
 def test_run_measures_every_state_once_from_the_initial_one():
@@ -446,8 +436,29 @@ def test_run_default_measure_is_the_objective_at_the_estimate():
     np.testing.assert_array_equal(default.objectives, trace.objectives)
     # a term without ``value`` makes the default NaN
     no_value = Problem(f=problem.f, g=SimpleNamespace(prox=problem.g.prox), w=problem.w)
+    assert math.isnan(no_value.value(np.ones(3)))
     _, trace = run("dy", no_value, StepConfig(lam=0.1), np.ones(3), max_iters=3)
     assert np.all(np.isnan(trace.objectives))
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_problem_gradient_and_lipschitz_sum_the_present_terms(method):
+    # bit for bit the arithmetic of the order lab's former total-gradient
+    # oracle: a sum onto a zeros array in f, g, w order, and the sum of the
+    # terms' estimates from 0.0
+    problem = cli._quad_problem_for(method)
+    terms = [t for t in (problem.f, problem.g, problem.w) if t is not None]
+    x = np.array([1.2, -0.7])
+    expected = sum((t.grad(x) for t in terms), np.zeros_like(x))
+    assert problem.grad(x).tobytes() == expected.tobytes()
+    assert problem.lipschitz() == sum([t.lipschitz() for t in terms], 0.0)
+
+
+def test_problem_lipschitz_is_none_unless_every_term_reports_one():
+    f, g, _ = cli._quadratic_triple()
+    w = prox.FunctionOracle(lambda x: float(x @ x), lambda x: 2.0 * x)
+    assert Problem(f=f, g=g, w=w).lipschitz() is None
+    assert Problem(f=f, g=g).lipschitz() == f.lipschitz() + g.lipschitz()
 
 
 def test_stop_rule_receives_the_measured_value():

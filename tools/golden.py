@@ -59,8 +59,12 @@ COMMANDS = {
     "order-admm": ["order-check", "--method", "admm"],
     "order-tseng-decaying": ["order-check", "--method", "tseng", "--damping", "decaying"],
     "order-h-min-0": ["order-check", "--method", "dy", "--h-min", "0"],
+    # two points cannot carry a slope: refused, naming --points, before any work
+    "order-points-2": ["order-check", "--method", "fb", "--points", "2"],
     "rates": ["rates"],
     "lasso-desk": ["lasso", "--desk"],
+    # two scales asked for at once: refused before any work
+    "lasso-desk-paper-scale": ["lasso", "--desk", "--paper-scale"],
     # an empty seed list: refused with its reason
     "lasso-seeds-empty": ["lasso", "--seeds", ","],
     # plain fb is named "fb" only, and a seed listed twice would repeat a
