@@ -1,5 +1,7 @@
 """Command-line interface: solver runs, order checks, rate checks, suites.
 
+Run it as ``proxflow``, ``python -m proxflow`` or ``python -m proxflow.cli``.
+
 Subcommands
 -----------
 solve        one (method, damping) run on a built-in instance; trace CSV
@@ -10,11 +12,11 @@ matcomp      the completion suite (single weight or --anneal)
 
 Exit codes: 0 success/converged, 1 bad arguments (a NaN, infinite or
 out-of-range numeric parameter, an empty seed or variant list, a seed
-that is not an integer, an unknown variant or an alias such as fb-none
-for fb, a variant or seed listed twice, an order-check grid of fewer
-than 3 --points or an --h-min to --h-max range under 1.5 decades,
---desk together with --paper-scale, or a config key listed twice,
-refused before any work; also an unreadable config file or an
+that is not an integer or is negative, an unknown variant or an alias
+such as fb-none for fb, a variant or seed listed twice, an order-check
+grid of fewer than 3 --points or an --h-min to --h-max range under 1.5
+decades, --desk together with --paper-scale, or a config key listed
+twice, refused before any work; also an unreadable config file or an
 unwritable output path), 2 not converged (or slope or rate fit outside
 its band / partial suite failure), 3 diverged, an order fit that failed
 (a kept h with r2*h > 1, an h too small for its prox parameter, or a
@@ -37,7 +39,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -150,7 +152,7 @@ def cmd_rates(args) -> int:
     rows = []
     out_of_band = False
     for name, case in odelab.rate_cases().items():
-        fit = odelab.run_rate_case(name)
+        fit = case.fit()
         rows.append((name, case.predicted, fit.exponent, fit.r_squared))
         out_of_band |= not case.in_band(fit.exponent)
     out = args.outdir / "rates.csv"
@@ -162,27 +164,26 @@ def cmd_rates(args) -> int:
 
 
 def _suite_config(cfg, paper_scale, args):
-    """A suite's configuration with --paper-scale and explicit overrides."""
+    """A suite's configuration, at --paper-scale if asked, with each field
+    that has a flag set to the flag's value where one was given."""
     if args.desk and args.paper_scale:
         raise ParameterError("--desk and --paper-scale (or paper_scale = yes in a config "
                              "file) ask for different scales; give one")
     if args.paper_scale:
         cfg = paper_scale(cfg)
-    for key in ("seeds", "variants", "max_iters"):
-        if getattr(args, key) is not None:
-            cfg = replace(cfg, **{key: getattr(args, key)})
-    return cfg
+    return replace(cfg, **{f.name: getattr(args, f.name) for f in fields(cfg)
+                           if getattr(args, f.name, None) is not None})
 
 
-def _write_report(report, outdir: Path, prefix: str, stages: bool = False) -> int:
-    """Write a suite's series, aggregate and (with ``stages``) stage CSVs
-    under ``prefix`` and print one line per run."""
+def _write_report(report, outdir: Path, prefix: str) -> int:
+    """Write a suite's series, aggregate and (when the records carry stage
+    logs) stage CSVs under ``prefix`` and print one line per run."""
     for rec in report.records:
         csvio.write_rows(outdir / f"{prefix}-{rec.variant}-seed{rec.seed}.csv", "series",
                          ((k, float(e)) for k, e in enumerate(rec.errors)))
     aggregate = outdir / f"{prefix}-aggregate.csv"
     csvio.write_rows(aggregate, "aggregate", report.summaries())
-    if stages:
+    if any(rec.stages for rec in report.records):
         csvio.write_rows(outdir / f"{prefix}-stages.csv", "stages", (
             (rec.variant, rec.seed, st.stage, st.alpha, st.iterations, st.final_error)
             for rec in report.records for st in rec.stages or []))
@@ -204,7 +205,7 @@ def cmd_matcomp(args) -> int:
     cfg = _suite_config(experiments.MatCompConfig(), experiments.paper_scale_matcomp, args)
     mode = "anneal" if args.anneal else "single"
     report = experiments.run_matcomp_suite(cfg, mode=mode)
-    return _write_report(report, args.outdir, f"matcomp-{mode}", stages=args.anneal)
+    return _write_report(report, args.outdir, f"matcomp-{mode}")
 
 
 # ---------------------------------------------------------------------------
@@ -354,3 +355,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

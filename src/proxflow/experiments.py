@@ -209,7 +209,6 @@ class MatCompInstance:
     mask: np.ndarray      # boolean observation mask
     lo: float             # box bounds from the observed entries
     hi: float
-    rank: int
     seed: int
 
     @property
@@ -254,10 +253,8 @@ def gen_matcomp(
     mask = mask.reshape(n, m)
     obs = M[mask]
     sigma = float(obs.std())
-    return MatCompInstance(
-        M=M, mask=mask, lo=float(obs.min() - sigma / 2), hi=float(obs.max() + sigma / 2),
-        rank=rank, seed=seed,
-    )
+    lo, hi = float(obs.min() - sigma / 2), float(obs.max() + sigma / 2)
+    return MatCompInstance(M=M, mask=mask, lo=lo, hi=hi, seed=seed)
 
 
 def anneal_schedule(delta: float, alpha0: float, alpha_bar: float) -> list[float]:
@@ -369,13 +366,15 @@ def _variant_table(families, lam: float, r_constant: float) -> dict:
 def _resolve(cfg, table) -> list:
     """(variant, family, StepConfig) for each of ``cfg.variants``, resolved
     before a suite does any work: an empty list of variants or seeds, a name
-    that is not in ``table``, or a variant or seed listed twice, raises
-    ConfigurationError."""
+    that is not in ``table``, a variant or seed listed twice, or a negative
+    seed, raises ConfigurationError."""
     for what, listed in (("variant", cfg.variants), ("seed", cfg.seeds)):
         if not listed:
             raise ConfigurationError(f"{what}s must list at least one {what}")
         if len(set(listed)) < len(listed):      # the most frequent entry is a repeat
             raise ConfigurationError(f"{what} {max(listed, key=listed.count)!r} is listed twice")
+    if min(cfg.seeds) < 0:
+        raise ConfigurationError(f"seed {min(cfg.seeds)} is negative; seeds must be >= 0")
     for variant in cfg.variants:
         if variant not in table:
             raise ConfigurationError(f"unknown variant {variant!r}; variants: {', '.join(table)}")
@@ -433,9 +432,9 @@ def run_lasso_suite(cfg: LassoConfig) -> RunReport:
 
     Each run stops when |F_k - F*| / F* falls below ``cfg.target`` (F
     evaluated at the solution estimate) or at the iteration cap.  An
-    empty list of variants or seeds, an unknown variant, or a variant or
-    seed listed twice, raises ``ConfigurationError`` before any reference
-    solution is computed.  A reference solution F* that misses
+    empty list of variants or seeds, an unknown variant, a variant or seed
+    listed twice, or a negative seed, raises ``ConfigurationError`` before
+    any instance is generated.  A reference solution F* that misses
     ``REFERENCE_TOL`` raises ``NumericalError`` before any variant runs on
     that seed.  The per-record error series backs iteration-count
     comparisons across variants.
@@ -518,9 +517,9 @@ def run_matcomp_suite(cfg: MatCompConfig, mode: str = "single") -> RunReport:
     reports summed iterations plus a per-stage log.  The reported rank
     (singular values above 1e-6 of the largest) is that of the final
     step's nuclear-prox output, ``state.last_half``, for both families.
-    An empty list of variants or seeds, an unknown variant, or a variant
-    or seed listed twice, raises ``ConfigurationError`` before any instance
-    is generated.
+    An empty list of variants or seeds, an unknown variant, a variant or
+    seed listed twice, or a negative seed, raises ``ConfigurationError``
+    before any instance is generated.
     """
     if mode not in MATCOMP_R_CONSTANT:
         raise ConfigurationError(f"mode must be 'single' or 'anneal', got {mode!r}")
@@ -557,7 +556,6 @@ def _matcomp_run(instance, family, variant, alphas, step_cfg, cfg) -> RunRecord:
         stages.append(StageLog(stage=j, alpha=alpha, iterations=trace.iterations,
                                final_error=float(trace.objectives[-1])))
         x0 = state.estimate     # warm start for the next weight
-    return RunRecord(
-        variant=variant, seed=instance.seed, status=status, errors=np.concatenate(series),
-        rank=_estimate_rank(state.last_half), stages=stages if len(alphas) > 1 else None,
-    )
+    # only an annealed run carries its stage log
+    return RunRecord(variant, instance.seed, status, np.concatenate(series),
+                     _estimate_rank(state.last_half), stages if len(alphas) > 1 else None)

@@ -34,7 +34,7 @@ from . import damping as damping_mod
 from . import prox
 from .damping import ConstantDamping, DecayingDamping, Schedule
 from .errors import NumericalError, ParameterError, require
-from .solvers import METHODS, Problem, SolverState, StepConfig, check_method
+from .solvers import Problem, SolverState, StepConfig, check_method
 from .space import Element, as_element, norm
 
 RK_SUBSTEPS = 64        # RK4 steps of the reference flow over one solver step
@@ -203,7 +203,7 @@ def local_error_order(
     where higher-order terms would pollute the fit.  First-order methods
     give a slope near 2.
     """
-    check_method(method, problem)
+    step_fn = check_method(method, problem)
     for t in (problem.f, problem.g, problem.w):
         if t is not None and not hasattr(t, "grad"):
             raise ParameterError(f"term {type(t).__name__} has no gradient; "
@@ -225,7 +225,6 @@ def local_error_order(
     # Deterministic, generic velocity; avoid anything proportional to
     # grad F(x0), which could cancel the leading error term.
     v0 = np.cos(1.0 + np.arange(x0.size)).reshape(x0.shape) if accelerated else None
-    step_fn = METHODS[method][0]
     c = -problem.g.grad(x0)     # the matched balance coefficient
 
     # every step's config first, so a bad one (say r2*h > 1) fails before any RK work
@@ -261,13 +260,12 @@ def local_error_order(
 class RateFit:
     """Fitted decay of a reference trajectory.
 
-    ``kind="exponential"``: rate a from ||x - x*|| ~ exp(-a t) (so the
-    value compares directly to the curvature m, or to sqrt(m) for the
+    An exponential fit gives the rate a from ||x - x*|| ~ exp(-a t) (so
+    the value compares directly to the curvature m, or to sqrt(m) for the
     critically damped inertial flow; the squared distance would double
-    it).  ``kind="power"``: exponent p from F - F* ~ t^p, p < 0.
+    it).  A power fit gives the exponent p from F - F* ~ t^p, p < 0.
     """
 
-    kind: str
     exponent: float
     r_squared: float
 
@@ -318,7 +316,7 @@ def continuous_rate_check(
         x = np.log(ts[mask])
     y = data[mask]
     slope, _, r2 = _line_fit(x, np.log(y, out=y))
-    return RateFit(kind=kind, exponent=-slope if exponential else slope, r_squared=r2)
+    return RateFit(exponent=-slope if exponential else slope, r_squared=r2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,6 +332,10 @@ class RateCase:
     predicted: float
     band: tuple[float, float]
     config: dict
+
+    def fit(self) -> RateFit:
+        """Fit this case's decay with its configuration."""
+        return continuous_rate_check(self.flow, self.flow.grad, **self.config)
 
     def in_band(self, fitted: float) -> bool:
         return self.band[0] <= fitted <= self.band[1]
@@ -373,9 +375,3 @@ def rate_cases() -> dict[str, RateCase]:
             dict(x_star=np.zeros(1), F_star=0.0, T=10.0, x0=np.array([1.0]),
                  v0=np.zeros(1), steps=8000, kind="exponential")),
     }
-
-
-def run_rate_case(name: str) -> RateFit:
-    """Fit the decay of one of :func:`rate_cases` with its configuration."""
-    case = rate_cases()[name]
-    return continuous_rate_check(case.flow, case.flow.grad, **case.config)

@@ -229,13 +229,14 @@ def method_spec(method: str) -> tuple:
     return METHODS[method]
 
 
-def check_method(method: str, problem: Problem) -> None:
-    """Validate a (method, problem) pairing against ``METHODS``."""
-    _, needed, absent = method_spec(method)
+def check_method(method: str, problem: Problem) -> Callable:
+    """Check (method, problem) against ``METHODS``; return its step."""
+    step, needed, absent = method_spec(method)
     if (any(getattr(problem, t) is None for t in needed)
             or any(getattr(problem, t) is not None for t in absent)):
         rule = f"{method} needs {' and '.join(needed)}"
         raise ConfigurationError(rule + "".join(f", {t} absent" for t in absent))
+    return step
 
 
 def dy_fixed_point_operator(problem: Problem, lam: float, x: Element) -> Element:
@@ -360,8 +361,7 @@ def run(
     """
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
-    check_method(method, problem)
-    step_fn = METHODS[method][0]
+    step = check_method(method, problem)
     if measure is None:
         def measure(state):
             return problem.value(state.estimate)
@@ -374,7 +374,7 @@ def run(
     status = MAX_ITERS
 
     for _ in range(max_iters):
-        state = step_fn(state, problem, cfg)
+        state = step(state, problem, cfg)
         value = measure(state)
         values.append(value)
         residuals.append(state.residual)

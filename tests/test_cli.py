@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -271,9 +276,11 @@ def test_rates_writes_summary(tmp_path, monkeypatch, capsys):
     # criterion 5 and test_odelab::test_rate_case_in_band
     cases = {name: case for name, case in odelab.rate_cases().items()
              if name != "accelerated-decaying-convex"}
-    monkeypatch.setattr(odelab, "rate_cases", lambda: cases)
+    built = []
+    monkeypatch.setattr(odelab, "rate_cases", lambda: built.append(1) or cases)
     code = cli.main(["rates", "--outdir", str(tmp_path)])
     assert code == 0
+    assert len(built) == 1      # each case fits itself; none is looked up again
     schema, header, rows = read_csv(tmp_path / "rates.csv")
     assert schema == "# proxflow-rates-v1"
     assert [r[0] for r in rows] == ["gradient-flow-strongly-convex",
@@ -320,6 +327,21 @@ def test_matcomp_subcommand_anneal_writes_stage_log(tmp_path):
     alphas = [float(r[3]) for r in rows]
     assert alphas == sorted(alphas, reverse=True)
     assert alphas[-1] == pytest.approx(1e-8)
+
+
+def test_report_writes_stages_exactly_when_the_records_carry_them(tmp_path, capsys):
+    from proxflow.experiments import RunRecord, RunReport, StageLog
+
+    def report(stages):
+        return RunReport([RunRecord("dy", 0, "converged", np.array([1.0, 0.5]),
+                                    stages=stages)])
+
+    assert cli._write_report(report([StageLog(0, 1.0, 1, 0.5)]), tmp_path, "logged") == 0
+    _, header, rows = read_csv(tmp_path / "logged-stages.csv")
+    assert header[:3] == ["variant", "seed", "stage"]
+    assert rows == [["dy", "0", "0", "1", "1", "0.5"]]
+    assert cli._write_report(report(None), tmp_path, "plain") == 0
+    assert not (tmp_path / "plain-stages.csv").exists()
 
 
 def test_config_file_applies_and_flags_override(tmp_path):
@@ -522,3 +544,25 @@ def test_config_booleans_accept_no(tmp_path, capsys):
     assert cli.main(["matcomp", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
     assert (tmp_path / "matcomp-single-aggregate.csv").exists()
     assert not list(tmp_path.glob("*stages*"))
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _python(args, cwd):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+
+
+@pytest.mark.parametrize("module", ["proxflow", "proxflow.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    proc = _python(["-m", module, "lasso", "--desk", "--paper-scale"], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == "" and "--desk and --paper-scale" in proc.stderr
+
+
+def test_importing_the_package_loads_no_entry_point(tmp_path):
+    proc = _python(["-c", "import sys, proxflow; print(sorted(sys.modules))"], tmp_path)
+    assert proc.returncode == 0 and "'proxflow.space'" in proc.stdout
+    assert "'proxflow.cli'" not in proc.stdout and "'proxflow.__main__'" not in proc.stdout

@@ -77,3 +77,19 @@ def test_count_lines_counts_settable_fields_of_config_dataclasses():
         "    n: int = 4\n"
     )
     assert _count_lines().config_fields(source) == {"SuiteConfig": 2, "RunConfig": 1}
+
+
+def test_import_path_follows_relative_imports_that_run_on_import(tmp_path):
+    files = {
+        "__init__.py": "from .a import x\nfrom . import b\n",
+        "a.py": "import os\nfrom .c import y\nx = 1\n",
+        "b.py": "def lazy():\n    from .d import z\n",     # d loads only when called
+        "c.py": "try:\n    from .e import w\nexcept ImportError:\n    pass\ny = 2\n",
+        "d.py": "z = 3\n",
+        "e.py": "w = 4\n",
+        "unused.py": "v = 5\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    path = _count_lines().import_path(tmp_path)
+    assert [p.name for p in path] == ["__init__.py", "a.py", "b.py", "c.py", "e.py"]

@@ -419,10 +419,11 @@ def test_default_variants_are_the_twelve_and_six_in_order():
 
 
 def test_suites_reject_unknown_variants(monkeypatch):
-    # every variant is resolved before any work: a valid one listed first
-    # is neither solved nor given a reference solution.  Plain fb is named
-    # "fb" only, so "fb-none" is unknown; a variant or seed listed twice
-    # would solve the same run twice, and an empty list would run nothing
+    # every variant and seed is resolved before any work: a valid one listed
+    # first is neither generated, solved nor given a reference solution.
+    # Plain fb is named "fb" only, so "fb-none" is unknown; a variant or
+    # seed listed twice would solve the same run twice, an empty list would
+    # run nothing, and a negative seed would fail in numpy after the rest
     from proxflow.errors import ConfigurationError
 
     calls = []
@@ -433,7 +434,7 @@ def test_suites_reject_unknown_variants(monkeypatch):
             return real(*args, **kwargs)
         return record
 
-    for name in ("run", "reference_solution"):
+    for name in ("run", "reference_solution", "gen_lasso", "gen_matcomp"):
         monkeypatch.setattr(experiments, name, spy(name, getattr(experiments, name)))
     for changes, message in (
             (dict(variants=("fb", "sor")), "unknown variant 'sor'"),
@@ -442,7 +443,9 @@ def test_suites_reject_unknown_variants(monkeypatch):
             (dict(variants=("fb", "fb-decaying", "fb")), "variant 'fb' is listed twice"),
             (dict(variants=("fb",), seeds=(1, 2, 1)), "seed 1 is listed twice"),
             (dict(variants=()), "variants must list at least one variant"),
-            (dict(variants=("fb",), seeds=()), "seeds must list at least one seed")):
+            (dict(variants=("fb",), seeds=()), "seeds must list at least one seed"),
+            (dict(variants=("fb",), seeds=(1, -1), max_iters=5),
+             "seed -1 is negative; seeds must be >= 0")):
         with pytest.raises(ConfigurationError, match=message):
             run_lasso_suite(replace(SMALL_LASSO, **changes))
     for mode in ("single", "anneal"):
@@ -452,7 +455,10 @@ def test_suites_reject_unknown_variants(monkeypatch):
                 (dict(variants=("dy", "dy")), "variant 'dy' is listed twice"),
                 (dict(variants=("dy",), seeds=(3, 3)), "seed 3 is listed twice"),
                 (dict(variants=()), "variants must list at least one variant"),
-                (dict(variants=("dy",), seeds=()), "seeds must list at least one seed")):
+                (dict(variants=("dy",), seeds=()), "seeds must list at least one seed"),
+                (dict(variants=("dy",), seeds=(1, -1), max_iters=5),
+                 "seed -1 is negative; seeds must be >= 0")):
             with pytest.raises(ConfigurationError, match=message):
                 run_matcomp_suite(replace(SMALL_MATCOMP, **changes), mode=mode)
     assert calls == []
+

@@ -16,7 +16,6 @@ from proxflow.odelab import (
     local_error_order,
     rate_cases,
     reference_trajectory,
-    run_rate_case,
 )
 from proxflow.solvers import Problem
 
@@ -289,8 +288,7 @@ def test_slope_band_matches_the_benchmark_copy(benchmark_workloads):
 @pytest.mark.parametrize("name", list(rate_cases()))
 def test_rate_case_in_band(name):
     case = rate_cases()[name]
-    fit = run_rate_case(name)
-    assert case.in_band(fit.exponent)
+    assert case.in_band(case.fit().exponent)
 
 
 def test_rate_gradient_flow_convex_power():

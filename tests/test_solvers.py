@@ -504,11 +504,12 @@ def test_method_problem_validation():
 
 def test_method_table_lasso_splits_pass_their_checks():
     # lasso_problem reads the absent-terms column of METHODS, so every
-    # method, "dy" included, gets a split that its own check accepts
+    # method, "dy" included, gets a split that its own check accepts; the
+    # check hands back the step, which run and local_error_order then take
     inst = gen_lasso(12, 30, seed=5)
-    for method in METHODS:
+    for method, (step, _, _) in METHODS.items():
         problem = lasso_problem(inst, method)
-        check_method(method, problem)
+        assert check_method(method, problem) is step
         assert (problem.f is None) == (method in ("fb", "tseng"))
 
 

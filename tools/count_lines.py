@@ -1,11 +1,15 @@
-"""Size of the package: ``wc -l`` and logical lines per module, and the
-settable fields of its config classes.
+"""Size of the package: ``wc -l`` and logical lines per module, the
+settable fields of its config classes, and the bytes of source that
+importing the package loads.
 
 A logical line is a physical line that holds code: blank lines, comment
 lines and docstrings are not counted; a statement over three lines counts
 three.  A config class is a ``@dataclass`` whose name ends in ``Config``;
-each annotated field in its body is one value a caller can set.  Standard
-library only.
+each annotated field in its body is one value a caller can set.  The
+import path is ``__init__.py`` and every module reached from it by
+relative imports that run at import time (not inside a function body);
+without cached bytecode, each of them is compiled on every import.
+Standard library only.
 
     python tools/count_lines.py [PACKAGE_DIR]     # default: src/proxflow
 """
@@ -48,6 +52,31 @@ def config_fields(source: str) -> dict[str, int]:
     return counts
 
 
+def import_path(package: Path) -> list[Path]:
+    """The package's modules that ``import package`` loads, sorted."""
+    seen, todo = set(), [package / "__init__.py"]
+    while todo:
+        path = todo.pop()
+        if path in seen or not path.is_file():
+            continue
+        seen.add(path)
+        for node in _runs_on_import(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                todo += [package / f"{name}.py" for name in names]
+    return sorted(seen)
+
+
+def _runs_on_import(tree: ast.Module):
+    """Every node of a module but those inside a function body."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
 def _decorator_name(node: ast.expr) -> str | None:
     """``dataclass`` for ``@dataclass``, ``@dataclass(...)`` and
     ``@dataclasses.dataclass(...)``."""
@@ -76,6 +105,12 @@ def main(argv: list[str]) -> None:
     for name, n in fields.items():
         print(f"{name:<16} {n:>6}")
     print(f"{'total':<16} {sum(fields.values()):>6}")
+    print()
+    print(f"{'import path':<16} {'bytes':>6}")
+    sizes = {path.name: path.stat().st_size for path in import_path(package)}
+    for name, size in sizes.items():
+        print(f"{name:<16} {size:>6}")
+    print(f"{'total':<16} {sum(sizes.values()):>6}")
 
 
 if __name__ == "__main__":

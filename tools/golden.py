@@ -71,6 +71,8 @@ COMMANDS = {
     # run: both refused before any work
     "lasso-fb-none": ["lasso", "--variants", "fb-none", "--seeds", "1"],
     "lasso-seeds-repeated": ["lasso", "--seeds", "1,1"],
+    # a negative seed: refused by name before seed 1 is solved
+    "lasso-seeds-negative": ["lasso", "--seeds", "1,-1", "--variants", "fb"],
     "matcomp-single": ["matcomp", "--desk"],
     "matcomp-anneal": ["matcomp", "--desk", "--anneal"],
 }
