@@ -12,12 +12,13 @@ matcomp      the completion suite (single weight or --anneal)
 
 Exit codes: 0 success/converged, 1 bad arguments (a NaN, infinite or
 out-of-range numeric parameter, an empty seed or variant list, a seed
-that is not an integer or is negative, an unknown variant or an alias
-such as fb-none for fb, a variant or seed listed twice, an order-check
-grid of fewer than 3 --points or an --h-min to --h-max range under 1.5
-decades, --desk together with --paper-scale, or a config key listed
-twice, refused before any work; also an unreadable config file or an
-unwritable output path), 2 not converged (or slope or rate fit outside
+that is not an integer or is negative (solve --seed included), a suite
+--max-iters below 1, an unknown variant or an alias such as fb-none for
+fb, a variant or seed listed twice, an order-check grid of fewer than 3
+--points or an --h-min to --h-max range under 1.5 decades, --desk
+together with --paper-scale, or a config key listed twice, refused
+before any work; also an unreadable config file or an unwritable output
+path), 2 not converged (or slope or rate fit outside
 its band / partial suite failure), 3 diverged, an order fit that failed
 (a kept h with r2*h > 1, an h too small for its prox parameter, or a
 one-step error that is not finite and > 0), or NumericalError (a
@@ -89,11 +90,11 @@ def _solve_instance(args):
     kind, scale = args.instance.split("-")
     if kind == "quad":
         return _quad_problem_for(args.method), np.array([1.0, -1.0])
-    if kind == "lasso":
-        cfg = experiments.paper_scale_lasso() if scale == "full" else experiments.LassoConfig()
-        return experiments.lasso_problem(cfg.instance(args.seed), args.method), np.zeros(cfg.n)
-    cfg = experiments.paper_scale_matcomp() if scale == "full" else experiments.MatCompConfig()
+    cfg = experiments.LassoConfig() if kind == "lasso" else experiments.MatCompConfig()
+    cfg = cfg.paper_scale() if scale == "full" else cfg
     inst = cfg.instance(args.seed)
+    if kind == "lasso":
+        return experiments.lasso_problem(inst, args.method), np.zeros(cfg.n)
     problem = experiments.matcomp_problem(inst, experiments.matched_single_alpha(inst))
     return problem, inst.observed
 
@@ -106,6 +107,7 @@ def _quad_problem_for(method: str) -> Problem:
 
 
 def cmd_solve(args) -> int:
+    experiments.check_seed(args.seed)       # before any instance is built
     schedule = damping.schedule_for(args.damping, args.r, args.r1, args.r2)
     cfg = StepConfig(lam=args.lam, schedule=schedule)
     matcomp = args.instance.startswith("matcomp")
@@ -163,14 +165,15 @@ def cmd_rates(args) -> int:
     return EXIT_NOT_CONVERGED if out_of_band else EXIT_OK
 
 
-def _suite_config(cfg, paper_scale, args):
-    """A suite's configuration, at --paper-scale if asked, with each field
-    that has a flag set to the flag's value where one was given."""
+def _suite_config(cfg, args):
+    """A suite's configuration, at its ``paper_scale()`` if --paper-scale
+    asks, with each field that has a flag set to the flag's value where one
+    was given."""
     if args.desk and args.paper_scale:
         raise ParameterError("--desk and --paper-scale (or paper_scale = yes in a config "
                              "file) ask for different scales; give one")
     if args.paper_scale:
-        cfg = paper_scale(cfg)
+        cfg = cfg.paper_scale()
     return replace(cfg, **{f.name: getattr(args, f.name) for f in fields(cfg)
                            if getattr(args, f.name, None) is not None})
 
@@ -197,12 +200,12 @@ def _write_report(report, outdir: Path, prefix: str) -> int:
 
 
 def cmd_lasso(args) -> int:
-    cfg = _suite_config(experiments.LassoConfig(), experiments.paper_scale_lasso, args)
+    cfg = _suite_config(experiments.LassoConfig(), args)
     return _write_report(experiments.run_lasso_suite(cfg), args.outdir, "lasso")
 
 
 def cmd_matcomp(args) -> int:
-    cfg = _suite_config(experiments.MatCompConfig(), experiments.paper_scale_matcomp, args)
+    cfg = _suite_config(experiments.MatCompConfig(), args)
     mode = "anneal" if args.anneal else "single"
     report = experiments.run_matcomp_suite(cfg, mode=mode)
     return _write_report(report, args.outdir, f"matcomp-{mode}")

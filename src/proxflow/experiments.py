@@ -363,18 +363,26 @@ def _variant_table(families, lam: float, r_constant: float) -> dict:
             for family in families for suffix, schedule in regimes.items()}
 
 
+def check_seed(seed: int) -> None:
+    """The seed rule of the suites and of ``proxflow solve``: a negative
+    seed raises ConfigurationError naming it."""
+    if seed < 0:
+        raise ConfigurationError(f"seed {seed} is negative; seeds must be >= 0")
+
+
 def _resolve(cfg, table) -> list:
     """(variant, family, StepConfig) for each of ``cfg.variants``, resolved
     before a suite does any work: an empty list of variants or seeds, a name
     that is not in ``table``, a variant or seed listed twice, or a negative
-    seed, raises ConfigurationError."""
+    seed, raises ConfigurationError; a ``cfg.max_iters`` below 1 raises
+    ParameterError."""
+    require(cfg.max_iters, "max_iters", 1, strict=False)
     for what, listed in (("variant", cfg.variants), ("seed", cfg.seeds)):
         if not listed:
             raise ConfigurationError(f"{what}s must list at least one {what}")
         if len(set(listed)) < len(listed):      # the most frequent entry is a repeat
             raise ConfigurationError(f"{what} {max(listed, key=listed.count)!r} is listed twice")
-    if min(cfg.seeds) < 0:
-        raise ConfigurationError(f"seed {min(cfg.seeds)} is negative; seeds must be >= 0")
+    check_seed(min(cfg.seeds))
     for variant in cfg.variants:
         if variant not in table:
             raise ConfigurationError(f"unknown variant {variant!r}; variants: {', '.join(table)}")
@@ -409,11 +417,10 @@ class LassoConfig:
     def instance(self, seed: int) -> LassoInstance:
         return gen_lasso(self.m, self.n, seed=seed)
 
-
-def paper_scale_lasso(cfg: LassoConfig | None = None) -> LassoConfig:
-    """The full-size study configuration (slow; desk scale is the default)."""
-    cfg = cfg or LassoConfig()
-    return replace(cfg, m=500, n=2500, seeds=tuple(range(10)))
+    def paper_scale(self) -> LassoConfig:
+        """This configuration at the full study's size (slow; desk scale is
+        the default)."""
+        return replace(self, m=500, n=2500, seeds=tuple(range(10)))
 
 
 def lasso_problem(instance: LassoInstance, family: str) -> Problem:
@@ -433,8 +440,9 @@ def run_lasso_suite(cfg: LassoConfig) -> RunReport:
     Each run stops when |F_k - F*| / F* falls below ``cfg.target`` (F
     evaluated at the solution estimate) or at the iteration cap.  An
     empty list of variants or seeds, an unknown variant, a variant or seed
-    listed twice, or a negative seed, raises ``ConfigurationError`` before
-    any instance is generated.  A reference solution F* that misses
+    listed twice, or a negative seed, raises ``ConfigurationError``, and a
+    ``max_iters`` below 1 ``ParameterError``, before any instance is
+    generated.  A reference solution F* that misses
     ``REFERENCE_TOL`` raises ``NumericalError`` before any variant runs on
     that seed.  The per-record error series backs iteration-count
     comparisons across variants.
@@ -492,11 +500,10 @@ class MatCompConfig:
     def instance(self, seed: int) -> MatCompInstance:
         return gen_matcomp(self.n, self.m, self.rank, self.s, seed=seed)
 
-
-def paper_scale_matcomp(cfg: MatCompConfig | None = None) -> MatCompConfig:
-    """The full-size study configuration (slow; desk scale is the default)."""
-    cfg = cfg or MatCompConfig()
-    return replace(cfg, n=100, m=100, rank=5, s=0.4, seeds=tuple(range(10)))
+    def paper_scale(self) -> MatCompConfig:
+        """This configuration at the full study's size (slow; desk scale is
+        the default)."""
+        return replace(self, n=100, m=100, rank=5, s=0.4, seeds=tuple(range(10)))
 
 
 def _estimate_rank(low_rank_estimate: Element) -> int:
@@ -518,8 +525,9 @@ def run_matcomp_suite(cfg: MatCompConfig, mode: str = "single") -> RunReport:
     (singular values above 1e-6 of the largest) is that of the final
     step's nuclear-prox output, ``state.last_half``, for both families.
     An empty list of variants or seeds, an unknown variant, a variant or
-    seed listed twice, or a negative seed, raises ``ConfigurationError``
-    before any instance is generated.
+    seed listed twice, or a negative seed, raises ``ConfigurationError``,
+    and a ``max_iters`` below 1 ``ParameterError``, before any instance is
+    generated.
     """
     if mode not in MATCOMP_R_CONSTANT:
         raise ConfigurationError(f"mode must be 'single' or 'anneal', got {mode!r}")

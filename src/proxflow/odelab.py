@@ -325,12 +325,13 @@ class RateCase:
 
     ``config`` holds the arguments of :func:`continuous_rate_check`
     beyond the flow and its objective (the flow's own oracle); the fitted
-    value must fall in ``band`` = (lo, hi) around ``predicted``.
+    value is in band when ``band(predicted, fitted)`` holds, the rule of
+    acceptance criterion 5.
     """
 
     flow: object
     predicted: float
-    band: tuple[float, float]
+    band: object            # band(predicted, fitted) -> bool
     config: dict
 
     def fit(self) -> RateFit:
@@ -338,7 +339,7 @@ class RateCase:
         return continuous_rate_check(self.flow, self.flow.grad, **self.config)
 
     def in_band(self, fitted: float) -> bool:
-        return self.band[0] <= fitted <= self.band[1]
+        return self.band(self.predicted, fitted)
 
 
 # The band an order-check slope must fall in: a first-order step's local
@@ -356,14 +357,14 @@ def rate_cases() -> dict[str, RateCase]:
     return {
         # strongly convex descent flow: distance ~ exp(-m t), m = 1, within 15%
         "gradient-flow-strongly-convex": RateCase(
-            GradientFlow(quad), 1.0, (0.85, 1.15),
+            GradientFlow(quad), 1.0, lambda pred, fit: abs(fit - pred) <= 0.15 * pred,
             dict(x_star=np.zeros(2), F_star=0.0, T=8.0, x0=np.array([1.0, 1.0]),
                  steps=4000, kind="exponential")),
         # convex (degenerate) objective under decaying damping: for r >= 3,
         # F - F* = O(t^-2) is a worst-case bound, so the check is one-sided by
         # design: a fitted exponent of -1.7 or below (this quartic fits -3.15, r^2 0.73)
         "accelerated-decaying-convex": RateCase(
-            AcceleratedFlow(quartic, DecayingDamping(3.0)), -2.0, (-math.inf, -1.7),
+            AcceleratedFlow(quartic, DecayingDamping(3.0)), -2.0, lambda pred, fit: fit <= -1.7,
             dict(x_star=np.zeros(1), F_star=0.0, T=300.0, x0=np.array([1.5]),
                  v0=np.zeros(1), t0=1.0, steps=120_000, kind="power",
                  window=(0.03, 1.0))),
@@ -371,7 +372,7 @@ def rate_cases() -> dict[str, RateCase]:
         # exp(-sqrt(m) t), within 25%
         "accelerated-constant-strongly-convex": RateCase(
             AcceleratedFlow(quad1, ConstantDamping(2.0 * math.sqrt(m))), math.sqrt(m),
-            (0.75 * math.sqrt(m), 1.25 * math.sqrt(m)),
+            lambda pred, fit: abs(fit - pred) <= 0.25 * pred,
             dict(x_star=np.zeros(1), F_star=0.0, T=10.0, x0=np.array([1.0]),
                  v0=np.zeros(1), steps=8000, kind="exponential")),
     }

@@ -359,8 +359,7 @@ def run(
     the stop rule fired, the budget ran out, or the iterate norm went
     above 1e12 or non-finite, in that table's order.
     """
-    if max_iters < 1:
-        raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
+    require(max_iters, "max_iters", 1, strict=False)
     step = check_method(method, problem)
     if measure is None:
         def measure(state):

@@ -77,6 +77,8 @@ def test_solve_momentum_zero_at_every_k_exits_one_before_any_work(tmp_path, monk
 
 
 _QUAD_FB = ["solve", "--instance", "quad-desk", "--method", "fb"]
+_LASSO_FB = ["solve", "--instance", "lasso-desk", "--method", "fb"]
+_SEED_NEGATIVE = "seed -1 is negative; seeds must be >= 0"
 
 
 @pytest.mark.parametrize("argv,name", [
@@ -89,21 +91,25 @@ _QUAD_FB = ["solve", "--instance", "quad-desk", "--method", "fb"]
     (_QUAD_FB + ["--lambda", "0.1", "--damping", "combined", "--r1", "nan", "--r2", "0.5"],
      "combined damping r1"),
     (_QUAD_FB + ["--lambda", "0.1", "--tol", "nan"], "tol"),
+    # the suites' seed rule, on an instance that draws from the seed and on
+    # one that draws nothing (and would name its CSV after the seed)
+    (_LASSO_FB + ["--lambda", "0.1", "--seed", "-1"], _SEED_NEGATIVE),
+    (_QUAD_FB + ["--lambda", "0.1", "--seed", "-1"], _SEED_NEGATIVE),
     (["order-check", "--method", "fb", "--damping", "constant", "--r", "nan"],
      "constant damping r"),
     (["lasso", "--seeds", ","], "--seeds"),
     (["lasso", "--variants", ","], "variants must list at least one variant"),
     (["lasso", "--variants", ""], "variants must list at least one variant"),
 ], ids=["lambda-nan", "lambda-inf", "decaying-r-inf", "constant-r-nan", "combined-r1-nan",
-        "tol-nan", "order-check-r-nan", "lasso-no-seeds", "lasso-no-variants",
-        "lasso-blank-variants"])
+        "tol-nan", "lasso-seed-negative", "quad-seed-negative", "order-check-r-nan",
+        "lasso-no-seeds", "lasso-no-variants", "lasso-blank-variants"])
 def test_non_finite_or_empty_parameter_exits_one_before_any_work(tmp_path, monkeypatch,
                                                                  capsys, argv, name):
     from proxflow import experiments, odelab
 
     work = []
-    for owner, attr in ((cli, "run"), (odelab, "local_error_order"),
-                        (experiments, "run_lasso_suite")):
+    for owner, attr in ((cli, "_solve_instance"), (cli, "run"),
+                        (odelab, "local_error_order"), (experiments, "run_lasso_suite")):
         monkeypatch.setattr(owner, attr, lambda *args, **kwargs: work.append(args))
     code = cli.main(argv + ["--outdir", str(tmp_path)])
     assert code == 1
@@ -295,7 +301,7 @@ def test_rates_out_of_band_exits_2(tmp_path, monkeypatch, capsys):
     # keep only the cheap case, with a band its fit (about 1.0) misses
     case = odelab.rate_cases()["gradient-flow-strongly-convex"]
     monkeypatch.setattr(odelab, "rate_cases", lambda: {
-        "gradient-flow-strongly-convex": replace(case, band=(2.0, 3.0))})
+        "gradient-flow-strongly-convex": replace(case, band=lambda pred, fit: 2.0 <= fit <= 3.0)})
     code = cli.main(["rates", "--outdir", str(tmp_path)])
     assert code == 2
     _, _, rows = read_csv(tmp_path / "rates.csv")

@@ -418,6 +418,11 @@ def test_default_variants_are_the_twelve_and_six_in_order():
         "dy", "dy-decaying", "dy-constant", "admm", "admm-decaying", "admm-constant")
 
 
+def test_suite_defaults_match_the_benchmark_copies(benchmark_workloads):
+    assert benchmark_workloads.LASSO_TARGET == LassoConfig().target
+    assert benchmark_workloads.MATCOMP_RANK == MatCompConfig().rank
+
+
 def test_suites_reject_unknown_variants(monkeypatch):
     # every variant and seed is resolved before any work: a valid one listed
     # first is neither generated, solved nor given a reference solution.
@@ -460,5 +465,13 @@ def test_suites_reject_unknown_variants(monkeypatch):
                  "seed -1 is negative; seeds must be >= 0")):
             with pytest.raises(ConfigurationError, match=message):
                 run_matcomp_suite(replace(SMALL_MATCOMP, **changes), mode=mode)
+    # a step budget below 1 is refused by the rule run itself applies
+    budget = "max_iters must be finite and >= 1, got 0"
+    with pytest.raises(ParameterError, match=budget):
+        run_lasso_suite(replace(SMALL_LASSO, variants=("fb",), seeds=(1,), max_iters=0))
+    for mode in ("single", "anneal"):
+        with pytest.raises(ParameterError, match=budget):
+            run_matcomp_suite(replace(SMALL_MATCOMP, variants=("dy",), seeds=(0,),
+                                      max_iters=0), mode=mode)
     assert calls == []
 

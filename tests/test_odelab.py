@@ -285,6 +285,32 @@ def test_slope_band_matches_the_benchmark_copy(benchmark_workloads):
     assert benchmark_workloads.SLOPE_BAND == odelab.SLOPE_BAND
 
 
+# each case's band edges: criterion 5's 15% and 25% intervals and its -1.7 cap
+BAND_EDGES = {"gradient-flow-strongly-convex": (0.85, 1.15),
+              "accelerated-decaying-convex": (-1.7,),
+              "accelerated-constant-strongly-convex": (1.5, 2.5)}
+
+
+def test_rate_bands_match_the_benchmark_copy(benchmark_workloads):
+    # an interval and criterion 5's arithmetic part at the edges: in floats,
+    # abs(0.85 - 1.0) > 0.15
+    cases = rate_cases()
+    assert set(benchmark_workloads.RATE_BANDS) == set(cases) == set(BAND_EDGES)
+    for name, case in cases.items():
+        for edge in BAND_EDGES[name]:
+            for fit in (np.nextafter(edge, -math.inf), edge, np.nextafter(edge, math.inf)):
+                assert benchmark_workloads.RATE_BANDS[name](case.predicted, fit) \
+                    == case.in_band(fit), (name, fit)
+    gradient_flow = cases["gradient-flow-strongly-convex"]
+    assert gradient_flow.in_band(1.0) and not gradient_flow.in_band(0.85)
+
+
+def test_rk4_step_counts_match_the_benchmark_copies(benchmark_workloads):
+    assert benchmark_workloads.RATES_RK4_STEPS == sum(
+        case.config["steps"] for case in rate_cases().values())
+    assert benchmark_workloads.ORDER_STEPS_PER_POINT == odelab.RK_SUBSTEPS + 1
+
+
 @pytest.mark.parametrize("name", list(rate_cases()))
 def test_rate_case_in_band(name):
     case = rate_cases()[name]

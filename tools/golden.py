@@ -50,6 +50,9 @@ COMMANDS = {
     # three steps cannot meet the tolerance: status max-iters, exit 2
     "solve-quad-dy-max-iters": ["solve", "--instance", "quad-desk", "--method", "dy",
                                 "--lambda", "0.1", "--max-iters", "3"],
+    # a negative seed: refused by name before any instance is built
+    "solve-seed-negative": ["solve", "--instance", "lasso-desk", "--seed", "-1",
+                            "--method", "fb", "--lambda", "0.1"],
     "solve-matcomp-dy": ["solve", "--instance", "matcomp-desk", "--method", "dy",
                          "--lambda", "1.0"],
     "order-dy-constant": ["order-check", "--method", "dy", "--damping", "constant",
