@@ -12,13 +12,13 @@ matcomp      the completion suite (single weight or --anneal)
 
 Exit codes: 0 success/converged, 1 bad arguments (a NaN, infinite or
 out-of-range numeric parameter, an empty seed or variant list, a seed
-that is not an integer or is negative (solve --seed included), a suite
---max-iters below 1, an unknown variant or an alias such as fb-none for
-fb, a variant or seed listed twice, an order-check grid of fewer than 3
---points or an --h-min to --h-max range under 1.5 decades, --desk
-together with --paper-scale, or a config key listed twice, refused
-before any work; also an unreadable config file or an unwritable output
-path), 2 not converged (or slope or rate fit outside
+that is not an integer or is negative (solve --seed included), a
+--max-iters below 1 (solve's included), an unknown variant or an alias
+such as fb-none for fb, a variant or seed listed twice, an order-check
+grid of fewer than 3 --points or an --h-min to --h-max range under 1.5
+decades, --desk together with --paper-scale, or a config key listed
+twice, refused before any work; also an unreadable config file or an
+unwritable output path), 2 not converged (or slope or rate fit outside
 its band / partial suite failure), 3 diverged, an order fit that failed
 (a kept h with r2*h > 1, an h too small for its prox parameter, or a
 one-step error that is not finite and > 0), or NumericalError (a
@@ -108,6 +108,7 @@ def _quad_problem_for(method: str) -> Problem:
 
 def cmd_solve(args) -> int:
     experiments.check_seed(args.seed)       # before any instance is built
+    require(args.max_iters, "max_iters", 1, strict=False)      # run's own rule
     schedule = damping.schedule_for(args.damping, args.r, args.r1, args.r2)
     cfg = StepConfig(lam=args.lam, schedule=schedule)
     matcomp = args.instance.startswith("matcomp")

@@ -118,6 +118,20 @@ def test_non_finite_or_empty_parameter_exits_one_before_any_work(tmp_path, monke
     assert out == "" and name in err
 
 
+def test_solve_max_iters_below_one_exits_one_before_the_instance_is_built(tmp_path, monkeypatch,
+                                                                         capsys):
+    from proxflow import experiments
+
+    work = []
+    monkeypatch.setattr(experiments, "gen_lasso", lambda *args, **kw: work.append(args))
+    code = cli.main(["solve", "--instance", "lasso-full", "--method", "fb", "--lambda", "0.1",
+                     "--max-iters", "0", "--outdir", str(tmp_path)])
+    assert code == 1
+    assert not work and list(tmp_path.iterdir()) == []
+    out, err = capsys.readouterr()
+    assert out == "" and "max_iters must be finite and >= 1, got 0" in err
+
+
 def test_solve_missing_lambda_exits_one(capsys):
     code = cli.main(["solve", "--method", "dy", "--instance", "lasso-desk"])
     assert code == 1

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +327,21 @@ def test_lasso_suite_acceleration_helps_on_smoke_config():
     report = run_lasso_suite(SMALL_LASSO)
     assert report.mean_iterations("fb-constant") < report.mean_iterations("fb")
     assert report.mean_iterations("admm-constant") < report.mean_iterations("admm")
+
+
+# `proxflow lasso --desk`'s runs, one (variant, seed, iterations, status) a row
+DESK_LASSO_RUNS = Path(__file__).with_name("lasso_desk_runs.csv")
+
+
+def test_desk_lasso_suite_matches_its_committed_runs():
+    # pins each run, not only the orderings the acceptance criteria read: a
+    # momentum index off by one moves a decaying run by a single iteration
+    header, *rows = DESK_LASSO_RUNS.read_text(encoding="utf-8").splitlines()
+    assert header == "variant,seed,iterations,status"
+    expected = [(v, int(seed), int(k), status)
+                for v, seed, k, status in (row.split(",") for row in rows)]
+    report = run_lasso_suite(LassoConfig())
+    assert [(r.variant, r.seed, r.iterations, r.status) for r in report.records] == expected
 
 
 def test_lasso_suite_deterministic():

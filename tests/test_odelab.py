@@ -8,7 +8,7 @@ import pytest
 from conftest import quadratic_problem, quadratic_triple
 from proxflow import odelab, prox
 from proxflow.damping import ConstantDamping, DecayingDamping, NoDamping
-from proxflow.errors import NumericalError, ParameterError
+from proxflow.errors import NumericalError, ParameterError, ShapeMismatchError
 from proxflow.odelab import (
     AcceleratedFlow,
     GradientFlow,
@@ -71,6 +71,8 @@ def test_reference_trajectory_preconditions():
         reference_trajectory(flow, np.ones(1), np.ones(1), t0=0.0, T=1.0)
     with pytest.raises(ParameterError):
         reference_trajectory(flow, np.ones(1), None, t0=1.0, T=2.0)
+    with pytest.raises(ShapeMismatchError):
+        reference_trajectory(AcceleratedFlow(quad, ConstantDamping(1.0)), np.ones(1), np.ones(2))
 
 
 def _textbook_rk4(flow, x0, v0=None, t0=0.0, T=1.0, steps=100):
@@ -108,7 +110,12 @@ _QUARTIC = prox.FunctionOracle(value=lambda x: 0.25 * float(np.sum(x ** 4)),
     (AcceleratedFlow(_QUARTIC, DecayingDamping(3.0)), np.array([1.5]), np.zeros(1), 1.0, 40.0),
     (AcceleratedFlow(prox.Quadratic(np.diag([4.0, 0.5])), ConstantDamping(1.5)),
      np.array([1.0, 2.0]), np.array([0.5, -1.0]), 0.0, 10.0),
-], ids=["gradient-quadratic-2d", "decaying-quartic", "constant-quadratic"])
+    # one entry: Python floats through a FunctionOracle, arrays through a Quadratic
+    (GradientFlow(_QUARTIC), np.array([1.5]), None, 1.0, 40.0),
+    (AcceleratedFlow(prox.Quadratic(np.array([[4.0]])), ConstantDamping(4.0)),
+     np.array([1.0]), np.array([0.5]), 0.0, 10.0),
+], ids=["gradient-quadratic-2d", "decaying-quartic", "constant-quadratic",
+        "gradient-quartic", "constant-quadratic-1x1"])
 def test_reference_trajectory_matches_textbook_rk4_bitwise(flow, x0, v0, t0, T):
     traj = reference_trajectory(flow, x0, v0, t0=t0, T=T, steps=2000)
     ts, ys = _textbook_rk4(flow, x0, v0, t0=t0, T=T, steps=2000)
@@ -122,21 +129,24 @@ def test_reference_trajectory_matches_textbook_rk4_bitwise(flow, x0, v0, t0, T):
 
 
 # xdot = x^3 from x0 = 1 leaves float range just after t = 1/2; the
-# inertial xddot + xdot = x^3 from (1, 1) does so too, near t = 1.5
+# inertial xddot + xdot = x^3 from (1, 1) does so too, near t = 1.5.  On one
+# entry the step runs on Python floats, whose ** raises OverflowError where
+# numpy gives inf; on two it runs on arrays.
 _BLOW_UP = prox.FunctionOracle(value=lambda x: -0.25 * float(np.sum(x ** 4)),
                                grad=lambda x: -x ** 3)
 
 
-@pytest.mark.parametrize("flow, v0, T", [
-    (GradientFlow(_BLOW_UP), None, 1.0),
-    (AcceleratedFlow(_BLOW_UP, ConstantDamping(1.0)), np.ones(1), 5.0),
-], ids=["first-order", "second-order"])
-def test_reference_trajectory_blow_up_names_first_nonfinite_step(flow, v0, T):
-    ts, ys = _textbook_rk4(flow, np.ones(1), v0, T=T, steps=1000)
+@pytest.mark.parametrize("flow, x0, v0, T", [
+    (GradientFlow(_BLOW_UP), np.ones(1), None, 1.0),
+    (AcceleratedFlow(_BLOW_UP, ConstantDamping(1.0)), np.ones(1), np.ones(1), 5.0),
+    (GradientFlow(_BLOW_UP), np.ones(2), None, 1.0),
+], ids=["first-order", "second-order", "first-order-array"])
+def test_reference_trajectory_blow_up_names_first_nonfinite_step(flow, x0, v0, T):
+    ts, ys = _textbook_rk4(flow, x0, v0, T=T, steps=1000)
     first = int(np.argmin(np.isfinite(ys).reshape(len(ts), -1).all(axis=1)))
     assert first > 0
     with np.errstate(all="ignore"), pytest.raises(NumericalError) as exc:
-        reference_trajectory(flow, np.ones(1), v0, T=T, steps=1000)
+        reference_trajectory(flow, x0, v0, T=T, steps=1000)
     assert re.search(r"t=(\S+)", str(exc.value)).group(1) == f"{ts[first]:g}"
 
 

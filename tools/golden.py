@@ -53,6 +53,9 @@ COMMANDS = {
     # a negative seed: refused by name before any instance is built
     "solve-seed-negative": ["solve", "--instance", "lasso-desk", "--seed", "-1",
                             "--method", "fb", "--lambda", "0.1"],
+    # no iterations allowed: refused before the 500x2500 instance is built
+    "solve-max-iters-zero": ["solve", "--instance", "lasso-full", "--method", "fb",
+                             "--lambda", "0.1", "--max-iters", "0"],
     "solve-matcomp-dy": ["solve", "--instance", "matcomp-desk", "--method", "dy",
                          "--lambda", "1.0"],
     "order-dy-constant": ["order-check", "--method", "dy", "--damping", "constant",
