@@ -13,7 +13,10 @@ O(h^2)); the RK4 oracle's own error is O(substep^4) and therefore
 negligible on the grids used here.  A state with one entry whose gradient
 is a prox.FunctionOracle takes the step on Python floats, every other
 state on arrays; the operations and their order are the same, and so are
-the bits.
+the bits.  The RK4 loop is written once, as a generator of states:
+reference_trajectory stores them, while continuous_rate_check turns each
+into its sample as it is produced, so a rate fit stores the time grid and
+one float per sample, never the trajectory.
 
 Conventions for the one-step tests:
 
@@ -72,43 +75,37 @@ class Trajectory:
     vs: np.ndarray | None = None   # velocities, second-order flows only
 
 
-def reference_trajectory(
-    flow,
-    x0: Element,
-    v0: Element | None = None,
-    t0: float = 0.0,
-    T: float = 1.0,
-    steps: int = 100,
-) -> Trajectory:
-    """Integrate a flow with the textbook RK4 step from t0 to T.
-
-    Second-order flows need ``v0``; decaying damping needs t0 > 0 (the
-    coefficient r/t is singular at zero).  Raises NumericalError if the
-    state leaves float range.
-
-    A state with one entry whose gradient is a :class:`prox.FunctionOracle`
-    steps on Python floats (the oracle's callable is then passed a float);
-    every other state steps on arrays.  Both run the same operations in
-    the same order, so they give the same bits.
-    """
+def _start(flow, x0, v0, t0, T, steps):
+    """Check a flow's start and horizon; return the time grid of ``steps``
+    RK4 steps from t0 to T, its step dt, and the initial state as arrays."""
     if steps < 1:
         raise ParameterError(f"steps must be >= 1, got {steps}")
     require(T - t0, "time span T - t0")
     x0 = as_element(x0, "x0")
-    dt = (T - t0) / steps
-    ts = t0 + dt * np.arange(steps + 1)
-    second = flow.second_order
-    if second:
+    if flow.second_order:
         if v0 is None:
             raise ParameterError("second-order flow needs an initial velocity v0")
         flow.eta(t0)    # an r/t damping raises ParameterError for t0 <= 0
         v0 = as_element(v0, "v0")
         check_same_shape(x0, v0)
-    # x and v share one block: as two blocks, a rate fit peaked 0.8 MiB higher in RSS
-    ys = np.empty((steps + 1, 1 + second) + x0.shape)
-    ys[0] = (x0, v0) if second else x0
-    xs, vs = ys[:, 0], ys[:, 1] if second else None
+    dt = (T - t0) / steps
+    return t0 + dt * np.arange(steps + 1), dt, x0, v0
 
+
+def _rk4(flow, ts, dt, x0, v0):
+    """Yield the state (x, v) at each time of the grid ``ts``: (x0, v0),
+    then one textbook RK4 step of size dt per grid interval (v is read for
+    second-order flows only).  Raises NumericalError when the state leaves
+    float range.
+
+    A state with one entry whose gradient is a :class:`prox.FunctionOracle`
+    steps on Python floats (the oracle's callable is then passed a float),
+    and its x and v are yielded as floats; every other state steps and is
+    yielded as arrays.  Both run the same operations in the same order, so
+    they give the same bits.
+    """
+    second = flow.second_order
+    yield x0, v0
     if x0.size == 1 and isinstance(flow.grad, prox.FunctionOracle):
         oracle = flow.grad
 
@@ -127,11 +124,11 @@ def reference_trajectory(
         def finite(y):
             return np.isfinite(y).all()
 
-    def field(t, x, v):     # (xdot, vdot); a first-order state keeps v = 0.0, unstored
+    def field(t, x, v):     # (xdot, vdot); a first-order state keeps v = 0.0
         return (v, -flow.eta(t) * v - grad(x)) if second else (-grad(x), 0.0)
 
     half = dt / 2
-    for i in range(steps):
+    for i in range(len(ts) - 1):
         t = ts.item(i)      # a Python float: a numpy scalar would spread to the state
         k1x, k1v = field(t, x, v)
         k2x, k2v = field(t + half, x + half * k1x, v + half * k1v)
@@ -141,9 +138,34 @@ def reference_trajectory(
         v = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         if not (finite(x) and finite(v)):
             raise NumericalError(f"reference trajectory left float range at t={ts[i + 1]:g}")
-        xs[i + 1] = x
+        yield x, v
+
+
+def reference_trajectory(
+    flow,
+    x0: Element,
+    v0: Element | None = None,
+    t0: float = 0.0,
+    T: float = 1.0,
+    steps: int = 100,
+) -> Trajectory:
+    """Integrate a flow with the textbook RK4 step from t0 to T and store
+    every state.
+
+    Second-order flows need ``v0``; decaying damping needs t0 > 0 (the
+    coefficient r/t is singular at zero).  Raises NumericalError if the
+    state leaves float range.  A state with one entry whose gradient is a
+    :class:`prox.FunctionOracle` steps on Python floats, every other state
+    on arrays, with the same bits (see :func:`_rk4`).
+    """
+    ts, dt, x0, v0 = _start(flow, x0, v0, t0, T, steps)
+    second = flow.second_order
+    xs = np.empty((len(ts),) + x0.shape)
+    vs = np.empty_like(xs) if second else None
+    for i, (x, v) in enumerate(_rk4(flow, ts, dt, x0, v0)):
+        xs[i] = x
         if second:
-            vs[i + 1] = v
+            vs[i] = v
     return Trajectory(ts=ts, xs=xs, vs=vs)
 
 
@@ -296,29 +318,46 @@ def continuous_rate_check(
     decreasing upper envelope of the samples, since inertial
     trajectories on convex problems oscillate around the optimum and the
     envelope is what the t^p bound describes.
+
+    The trajectory is never stored: each RK4 state becomes its sample as
+    it is produced, so the fit holds the time grid and one float per
+    sample.  ``x_star`` must have the shape of ``x0`` and ``F_star`` must
+    be finite; both are checked before any RK work.
     """
     if kind not in ("exponential", "power"):
         raise ParameterError(f"unknown fit kind {kind!r}; use 'exponential' or 'power'")
     if not 0.0 <= window[0] < window[1] <= 1.0:
         raise ParameterError(f"window must satisfy 0 <= w0 < w1 <= 1, got {window}")
+    require(F_star, "F_star", -math.inf)
+    ts, dt, x0, v0 = _start(flow, x0, v0, t0, T, steps)
+    check_same_shape(x0, x_star)
     exponential = kind == "exponential"
-    traj = reference_trajectory(flow, x0, v0, t0=t0, T=T, steps=steps)
-    ts = traj.ts
-    # one float per sample; the trajectory is dropped before the fit
-    data = np.fromiter((norm(x - x_star) if exponential else objective.value(x) - F_star
-                        for x in traj.xs), float, count=len(ts))
-    del traj
+    # Each state becomes its sample as it is produced.  A state with one
+    # entry is first written to its own slot, so that the sample is taken
+    # on the row a stored trajectory would hold: a float's x**4 can differ
+    # from an array's in the last bit.
+    data = np.empty(len(ts))
+    rows = data.reshape((-1,) + x0.shape) if x0.size == 1 else None
+    for i, (x, _) in enumerate(_rk4(flow, ts, dt, x0, v0)):
+        if rows is not None:
+            rows[i] = x
+            x = rows[i]
+        data[i] = norm(x - x_star) if exponential else objective.value(x) - F_star
+
+    # the fit, on views of ts and data: the window is an index range
     lo, hi = (t0 + w * (T - t0) for w in window)
-    mask = (ts >= lo) & (ts <= hi)
+    a, b = np.searchsorted(ts, lo), np.searchsorted(ts, hi, "right")
     if exponential:
-        mask &= data > 0
-        x = ts[mask]
+        x = ts[a:b]
     else:
         np.maximum(data, 0.0, out=data)
         np.maximum.accumulate(data[::-1], out=data[::-1])
-        mask &= (data > 0) & (ts > 0)
-        x = np.log(ts[mask])
-    y = data[mask]
+        a = max(a, np.searchsorted(ts, 0.0, "right"))     # log t needs t > 0
+        x = np.log(ts[a:b], out=ts[a:b])
+    y = data[a:b]
+    keep = y > 0    # a zero sample has no log: only then are the others copied out
+    if not keep.all():
+        x, y = x[keep], y[keep]
     slope, _, r2 = _line_fit(x, np.log(y, out=y))
     return RateFit(exponent=-slope if exponential else slope, r_squared=r2)
 
