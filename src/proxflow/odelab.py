@@ -10,18 +10,21 @@ and uses them as oracles to measure, for each solver step, the one-step
 deviation from the true trajectory as a function of the step scale h.
 A first-order method shows a log-log slope of about 2 (local error
 O(h^2)); the RK4 oracle's own error is O(substep^4) and therefore
-negligible on the grids used here.  A state with one entry whose gradient
-is a prox.FunctionOracle takes the step on Python floats, every other
-state on arrays; the operations and their order are the same, and so are
-the bits.  The RK4 loop is written once, as a generator of states:
-reference_trajectory stores them, while continuous_rate_check turns each
-into its sample as it is produced, so a rate fit stores the time grid and
-one float per sample, never the trajectory.
+negligible on the grids used here.  The RK4 loop is written once, as a
+generator of states (:func:`_rk4`, which also states when a state steps
+on Python floats): reference_trajectory stores them, while
+continuous_rate_check turns each into its sample as it is produced, so a
+rate fit stores the time grid and one float per sample, never the
+trajectory.
 
 Conventions for the one-step tests:
 
 * accelerated mode sets lam = h^2, plain mode lam = h;
-* the discrete velocity is matched through x_{k-1} = x_k - h*v_k;
+* the matched state is the solver's own momentum transition
+  (``solvers._advance``) from x_{k-1} to x_k, so its xhat_k is the one a
+  run would hold;
+* the discrete velocity is matched through x_{k-1} = x_k - h*v_k (plain
+  mode has no velocity: x_{k-1} = x_k);
 * decaying damping is singular at t = 0, so those flows start at a time
   t0 > 0 and the solver's counter is aligned as k = round(t0/h), which
   makes gamma_k agree with 1 - eta(k*h)*h to O(h^2) at the start time;
@@ -37,11 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import damping as damping_mod
 from . import prox
 from .damping import ConstantDamping, DecayingDamping, Schedule
 from .errors import NumericalError, ParameterError, require
-from .solvers import Problem, SolverState, StepConfig, check_method
+from .solvers import Problem, SolverState, StepConfig, _advance, check_method
 from .space import Element, as_element, check_same_shape, norm
 
 RK_SUBSTEPS = 64        # RK4 steps of the reference flow over one solver step
@@ -78,8 +80,8 @@ class Trajectory:
 def _start(flow, x0, v0, t0, T, steps):
     """Check a flow's start and horizon; return the time grid of ``steps``
     RK4 steps from t0 to T, its step dt, and the initial state as arrays."""
-    if steps < 1:
-        raise ParameterError(f"steps must be >= 1, got {steps}")
+    if not (steps >= 1 and steps % 1 == 0):     # NaN and inf fail too
+        raise ParameterError(f"steps must be a whole number >= 1, got {steps}")
     require(T - t0, "time span T - t0")
     x0 = as_element(x0, "x0")
     if flow.second_order:
@@ -149,14 +151,12 @@ def reference_trajectory(
     T: float = 1.0,
     steps: int = 100,
 ) -> Trajectory:
-    """Integrate a flow with the textbook RK4 step from t0 to T and store
-    every state.
+    """Integrate a flow with the textbook RK4 step of :func:`_rk4` from t0
+    to T and store every state.
 
-    Second-order flows need ``v0``; decaying damping needs t0 > 0 (the
-    coefficient r/t is singular at zero).  Raises NumericalError if the
-    state leaves float range.  A state with one entry whose gradient is a
-    :class:`prox.FunctionOracle` steps on Python floats, every other state
-    on arrays, with the same bits (see :func:`_rk4`).
+    ``steps`` must be a whole number >= 1.  Second-order flows need
+    ``v0``; decaying damping needs t0 > 0 (the coefficient r/t is singular
+    at zero).  Raises NumericalError if the state leaves float range.
     """
     ts, dt, x0, v0 = _start(flow, x0, v0, t0, T, steps)
     second = flow.second_order
@@ -252,22 +252,19 @@ def local_error_order(
     # grad F(x0), which could cancel the leading error term.
     v0 = np.cos(1.0 + np.arange(x0.size)).reshape(x0.shape) if accelerated else None
     c = -problem.g.grad(x0)     # the matched balance coefficient
+    flow = AcceleratedFlow(problem, schedule) if accelerated else GradientFlow(problem)
 
     # every step's config first, so a bad one (say r2*h > 1) fails before any RK work
     cfgs = [StepConfig(lam=h * h, schedule=schedule) if accelerated else StepConfig(lam=h)
             for h in h_values]
     errors = []
     for h, cfg in zip(h_values, cfgs):
-        if accelerated:
-            k0 = max(1, round(t0 / h))
-            x_prev = x0 - h * v0
-            x_hat = damping_mod.extrapolate(x0, x_prev, damping_mod.gamma(schedule, k0, h))
-            flow, t_start = AcceleratedFlow(problem, schedule), k0 * h
-        else:
-            k0, x_prev, x_hat = 1, x0, x0
-            flow, t_start = GradientFlow(problem), 0.0
-        state = SolverState(x=x0, x_prev=x_prev, x_hat=x_hat, c=c, k=k0, estimate=x0)
+        # the matched state: the solver's own transition from x_{k0-1} to x0
+        k0, x_prev = (max(1, round(t0 / h)), x0 - h * v0) if accelerated else (1, x0)
+        start = SolverState(x=x_prev, x_prev=x_prev, x_hat=x_prev, c=c, k=k0 - 1)
+        state = _advance(start, x0, cfg, c=c, last_half=None, estimate=x0, residual=math.nan)
         new = step_fn(state, problem, cfg)
+        t_start = k0 * h if accelerated else 0.0
         ref = reference_trajectory(flow, x0, v0, t0=t_start, T=t_start + h, steps=RK_SUBSTEPS)
         errors.append(norm(new.x - ref.xs[-1]))
         if not 0 < errors[-1] < math.inf:
@@ -321,8 +318,9 @@ def continuous_rate_check(
 
     The trajectory is never stored: each RK4 state becomes its sample as
     it is produced, so the fit holds the time grid and one float per
-    sample.  ``x_star`` must have the shape of ``x0`` and ``F_star`` must
-    be finite; both are checked before any RK work.
+    sample.  ``x_star`` must be finite with the shape of ``x0``, ``F_star``
+    finite and ``steps`` a whole number >= 1; all are checked before any
+    RK work.
     """
     if kind not in ("exponential", "power"):
         raise ParameterError(f"unknown fit kind {kind!r}; use 'exponential' or 'power'")
@@ -330,6 +328,7 @@ def continuous_rate_check(
         raise ParameterError(f"window must satisfy 0 <= w0 < w1 <= 1, got {window}")
     require(F_star, "F_star", -math.inf)
     ts, dt, x0, v0 = _start(flow, x0, v0, t0, T, steps)
+    x_star = as_element(x_star, "x_star")
     check_same_shape(x0, x_star)
     exponential = kind == "exponential"
     # Each state becomes its sample as it is produced.  A state with one

@@ -324,9 +324,6 @@ class MaskedQuadratic:
         return 1.0
 
 
-_FLOAT64 = np.dtype(np.float64)
-
-
 class FunctionOracle:
     """Wrap explicit value/grad callables (smooth term without a prox)."""
 
@@ -338,8 +335,4 @@ class FunctionOracle:
         return float(self._value(x))
 
     def grad(self, x: Element) -> Element:
-        g = self._grad(x)
-        # a float64 ndarray is returned as it is, which is what asarray returns
-        if type(g) is np.ndarray and g.dtype is _FLOAT64:
-            return g
-        return np.asarray(g, dtype=np.float64)
+        return np.asarray(self._grad(x), dtype=np.float64)

@@ -23,18 +23,31 @@ _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="proxflow-hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
+def _benchmark_module(name, monkeypatch):
+    """``perfbench/<name>.py``, loaded by path for one test."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)     # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def benchmark_workloads(monkeypatch):
     """``perfbench/workloads.py``, loaded by path.  The benchmark keeps its
     own copies of some tables so it can also run a tree without them; a
     drift between a copy and the package must fail tier-1, not a benchmark
     run."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)     # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
+    return _benchmark_module("workloads", monkeypatch)
+
+
+@pytest.fixture
+def benchmark_tracer(monkeypatch):
+    """``perfbench/tracer.py``, loaded by path.  It patches package names
+    given as strings, so a rename in the package must fail tier-1, not a
+    traced benchmark run."""
+    return _benchmark_module("tracer", monkeypatch)
 
 
 @pytest.fixture

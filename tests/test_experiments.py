@@ -329,19 +329,23 @@ def test_lasso_suite_acceleration_helps_on_smoke_config():
     assert report.mean_iterations("admm-constant") < report.mean_iterations("admm")
 
 
-# `proxflow lasso --desk`'s runs, one (variant, seed, iterations, status) a row
+# `proxflow lasso --desk`'s runs, one (variant, seed, iterations, status,
+# final_error) a row
 DESK_LASSO_RUNS = Path(__file__).with_name("lasso_desk_runs.csv")
 
 
 def test_desk_lasso_suite_matches_its_committed_runs():
     # pins each run, not only the orderings the acceptance criteria read: a
-    # momentum index off by one moves a decaying run by a single iteration
+    # momentum index off by one moves a decaying run by a single iteration;
+    # the final errors are pinned to rtol 1e-6, room for another BLAS's last bits
     header, *rows = DESK_LASSO_RUNS.read_text(encoding="utf-8").splitlines()
-    assert header == "variant,seed,iterations,status"
-    expected = [(v, int(seed), int(k), status)
-                for v, seed, k, status in (row.split(",") for row in rows)]
+    assert header == "variant,seed,iterations,status,final_error"
+    rows = [row.split(",") for row in rows]
+    expected = [(v, int(seed), int(k), status) for v, seed, k, status, _ in rows]
     report = run_lasso_suite(LassoConfig())
     assert [(r.variant, r.seed, r.iterations, r.status) for r in report.records] == expected
+    np.testing.assert_allclose([r.final_error for r in report.records],
+                               [float(row[4]) for row in rows], rtol=1e-6, atol=0)
 
 
 def test_lasso_suite_deterministic():

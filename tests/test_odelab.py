@@ -7,7 +7,7 @@ import pytest
 
 from conftest import quadratic_problem, quadratic_triple
 from proxflow import odelab, prox
-from proxflow.damping import ConstantDamping, DecayingDamping, NoDamping
+from proxflow.damping import ConstantDamping, DecayingDamping, NoDamping, extrapolate, gamma
 from proxflow.errors import NumericalError, ParameterError, ShapeMismatchError
 from proxflow.odelab import (
     AcceleratedFlow,
@@ -17,7 +17,7 @@ from proxflow.odelab import (
     rate_cases,
     reference_trajectory,
 )
-from proxflow.solvers import Problem
+from proxflow.solvers import Problem, SolverState, StepConfig, check_method
 from proxflow.space import norm
 
 
@@ -173,11 +173,12 @@ class _CountingOracle:
     (dict(x_star=np.zeros(3)), ShapeMismatchError),
     (dict(x_star=np.zeros(1)), ShapeMismatchError),
     (dict(x_star=np.zeros((2, 1))), ShapeMismatchError),
+    (dict(x_star=np.array([0.0, math.nan])), ValueError),
     (dict(kind="power", F_star=math.nan), ParameterError),
     (dict(F_star=-math.inf), ParameterError),
 ], ids=["exponental-window0", "power-window1", "power-window2", "exponential-window3",
         "exponential-window4", "x_star-longer", "x_star-one-entry", "x_star-column",
-        "F_star-nan", "F_star-inf"])
+        "x_star-nan", "F_star-nan", "F_star-inf"])
 def test_rate_check_rejects_bad_arguments_before_integrating(bad, error):
     oracle = _CountingOracle()
     args = dict(dict(x_star=np.zeros(2), F_star=0.0, kind="exponential", window=(0.5, 1.0)),
@@ -186,6 +187,28 @@ def test_rate_check_rejects_bad_arguments_before_integrating(bad, error):
         continuous_rate_check(GradientFlow(oracle), oracle, T=2.0, x0=np.ones(2), t0=1.0,
                               steps=1000, **args)
     assert oracle.calls == 0
+
+
+@pytest.mark.parametrize("steps", [10.5, 0.5, 0, math.inf, math.nan])
+def test_a_steps_that_is_not_a_whole_number_is_refused_before_integrating(steps):
+    # a fractional count gives a grid whose last point lies past T
+    oracle = _CountingOracle()
+    with pytest.raises(ParameterError, match="^steps must be a whole number >= 1"):
+        reference_trajectory(GradientFlow(oracle), np.ones(2), T=1.0, steps=steps)
+    with pytest.raises(ParameterError, match="^steps must be a whole number >= 1"):
+        continuous_rate_check(GradientFlow(oracle), oracle, np.zeros(2), 0.0, 1.0,
+                              x0=np.ones(2), steps=steps)
+    assert oracle.calls == 0
+
+
+@pytest.mark.parametrize("steps", [10, np.int64(10)], ids=["int", "np.int64"])
+def test_integer_steps_span_exactly_the_horizon(steps):
+    flow = GradientFlow(prox.Quadratic(np.eye(1)))
+    traj = reference_trajectory(flow, [1.0], T=1.0, steps=steps)
+    assert len(traj.ts) == 11 and traj.ts[-1] == 1.0
+    fit = continuous_rate_check(flow, flow.grad, np.zeros(1), 0.0, 1.0, x0=[1.0],
+                                steps=steps, window=(0.0, 1.0))
+    assert fit.exponent == pytest.approx(1.0, rel=1e-6)
 
 
 def _two_pass_fit(flow, objective, x_star, F_star, T, *, x0, v0=None, t0=0.0, steps,
@@ -284,6 +307,39 @@ def test_local_error_order_accelerated(method, schedule):
     fit = local_error_order(method, problem, schedule, H_GRID, x0=np.array([1.2, -0.7, 0.4]))
     assert 1.8 <= fit.slope <= 2.2
     assert fit.r_squared > 0.99
+
+
+@pytest.mark.parametrize("method", ["admm", "dy", "tseng"])
+@pytest.mark.parametrize("schedule", [NoDamping(), DecayingDamping(3.0), ConstantDamping(1.0)],
+                         ids=["none", "decaying", "constant"])
+def test_local_error_order_steps_from_the_hand_matched_state_bit_for_bit(method, schedule):
+    # criterion 1's measurement, with the matched state written out by hand:
+    # x_{k0-1} = x0 - h*v0 and xhat = x0 + gamma_{k0}*(x0 - x_{k0-1}) in
+    # accelerated mode, every point x0 and k0 = 1 in plain mode
+    problem = quadratic_problem(seed=7)
+    if method == "tseng":
+        problem = Problem(g=problem.g, w=problem.w)
+    x0 = np.array([1.2, -0.7, 0.4])
+    fit = local_error_order(method, problem, schedule, H_GRID, x0=x0, t0=1.0)
+    step = check_method(method, problem)
+    v0 = np.cos(1.0 + np.arange(x0.size))
+    c = -problem.g.grad(x0)
+    expected = []
+    for h in fit.hs.tolist():
+        if schedule.accelerated:
+            k0 = max(1, round(1.0 / h))
+            x_prev = x0 - h * v0
+            x_hat = extrapolate(x0, x_prev, gamma(schedule, k0, h))
+            flow, t_start, v = AcceleratedFlow(problem, schedule), k0 * h, v0
+            cfg = StepConfig(lam=h * h, schedule=schedule)
+        else:
+            k0, x_prev, x_hat = 1, x0, x0
+            flow, t_start, v, cfg = GradientFlow(problem), 0.0, None, StepConfig(lam=h)
+        state = SolverState(x=x0, x_prev=x_prev, x_hat=x_hat, c=c, k=k0, estimate=x0)
+        ref = reference_trajectory(flow, x0, v, t0=t_start, T=t_start + h,
+                                   steps=odelab.RK_SUBSTEPS)
+        expected.append(norm(step(state, problem, cfg).x - ref.xs[-1]))
+    assert fit.errors.tolist() == expected
 
 
 def test_local_error_order_combined_damping():
