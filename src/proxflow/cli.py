@@ -285,7 +285,8 @@ def _apply_config(args) -> None:
             parsed = readers[key](value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ParameterError(f"{args.config}: bad {key} = {value!r}: {exc}") from None
-        if getattr(args, key) in (None, False):     # explicit flags win
+        given = getattr(args, key)
+        if given is None or given is False:     # explicit flags win, 0 included
             setattr(args, key, parsed)
 
 

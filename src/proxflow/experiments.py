@@ -8,6 +8,13 @@ suite runs the three-operator and balance-coefficient families, either
 at a single nuclear-norm weight or along a geometric annealing schedule
 with warm starts, and records the relative reconstruction error.
 
+Each study has one instance recipe.  A lasso instance plants a 95%-sparse
+signal behind a unit-column Gaussian design, adds noise of standard
+deviation 1e-3 and sets alpha = 0.1 * alpha_max; each of its runs stops
+at a relative objective error of ``LASSO_TARGET`` = 1e-6.  A completion
+instance multiplies two factors with N(3, 1) entries.  Sizes, ranks,
+sampling fractions and seeds are the settings a caller chooses.
+
 All randomness flows through one ``numpy.random.default_rng(seed)``
 (PCG64) per instance; normal draws use the generator's documented
 ziggurat sampler, so instances are bit-reproducible here and
@@ -54,26 +61,15 @@ class LassoInstance:
         return 0.5 * float(r @ r) + self.alpha * float(np.sum(np.abs(x)))
 
 
-def gen_lasso(
-    m: int,
-    n: int,
-    sparsity: float = 0.95,
-    noise_std: float = 1e-3,
-    seed: int = 0,
-    alpha_ratio: float = 0.1,
-) -> LassoInstance:
-    """Random unit-column design with a sparse planted signal.
+def gen_lasso(m: int, n: int, seed: int = 0) -> LassoInstance:
+    """Random unit-column design with a 95%-sparse planted signal.
 
     A has standard normal entries with columns scaled to unit two-norm;
-    the planted x keeps round((1-sparsity)*n) standard normal entries on
-    a uniformly chosen support; b = A x + noise.  The weight is set to
-    ``alpha_ratio`` times the largest weight admitting a nonzero
-    solution.
+    the planted x keeps round((1 - 0.95)*n) standard normal entries on a
+    uniformly chosen support; b = A x + noise of standard deviation 1e-3.
+    The weight is 0.1 times the largest weight admitting a nonzero
+    solution, ``alpha_max(A, b)``.
     """
-    if not 0 < sparsity < 1:
-        raise ParameterError(f"sparsity must be in (0, 1), got {sparsity}")
-    require(noise_std, "noise_std", strict=False)
-    require(alpha_ratio, "alpha_ratio", strict=False)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     # column norms accumulated row by row, as np.linalg.norm(A, axis=0)
@@ -82,12 +78,12 @@ def gen_lasso(
     for row in A:
         sq += row * row
     A /= np.sqrt(sq)
-    nnz = int(round((1.0 - sparsity) * n))
+    nnz = int(round((1.0 - 0.95) * n))
     support = rng.choice(n, size=nnz, replace=False)
     x_true = np.zeros(n)
     x_true[support] = rng.standard_normal(nnz)
-    b = A @ x_true + noise_std * rng.standard_normal(m)
-    alpha = alpha_ratio * alpha_max(A, b)
+    b = A @ x_true + 1e-3 * rng.standard_normal(m)
+    alpha = 0.1 * alpha_max(A, b)
     return LassoInstance(A=A, b=b, x_true=x_true, alpha=alpha, seed=seed)
 
 
@@ -223,15 +219,8 @@ class MatCompInstance:
         return norm(x - self.M) / self._truth_norm
 
 
-def gen_matcomp(
-    n: int,
-    m: int,
-    rank: int,
-    s: float = 0.4,
-    entry_mean: float = 3.0,
-    seed: int = 0,
-) -> MatCompInstance:
-    """Ground truth L1 @ L2^T with factor entries from N(entry_mean, 1).
+def gen_matcomp(n: int, m: int, rank: int, s: float = 0.4, seed: int = 0) -> MatCompInstance:
+    """Ground truth L1 @ L2^T with factor entries from N(3, 1).
 
     floor(s*n*m) entries are observed, sampled uniformly without
     replacement.  The box bounds are min/max of the observed entries
@@ -241,10 +230,9 @@ def gen_matcomp(
         raise ParameterError(f"rank {rank} exceeds min(n, m) = {min(n, m)}")
     if not 0 < s <= 1:
         raise ParameterError(f"sampling fraction must be in (0, 1], got {s}")
-    require(entry_mean, "entry_mean", -math.inf)
     rng = np.random.default_rng(seed)
-    L1 = entry_mean + rng.standard_normal((n, rank))
-    L2 = entry_mean + rng.standard_normal((m, rank))
+    L1 = 3.0 + rng.standard_normal((n, rank))
+    L2 = 3.0 + rng.standard_normal((m, rank))
     M = L1 @ L2.T
     count = int(math.floor(s * n * m))
     flat = rng.choice(n * m, size=count, replace=False)
@@ -402,6 +390,7 @@ def _resolve(cfg, table) -> list:
 LASSO_LAM = 0.1
 LASSO_R_CONSTANT = 0.5
 REFERENCE_TOL = 1e-12       # fixed-point residual the reference solution must reach
+LASSO_TARGET = 1e-6         # relative objective error each run stops at
 
 
 @dataclass(frozen=True)
@@ -409,7 +398,6 @@ class LassoConfig:
     m: int = 50
     n: int = 250
     seeds: tuple[int, ...] = (1, 3, 4)
-    target: float = 1e-6        # relative objective error to reach
     max_iters: int = 200_000
     variants: tuple[str, ...] = tuple(
         _variant_table(LASSO_FAMILIES, LASSO_LAM, LASSO_R_CONSTANT))
@@ -437,8 +425,8 @@ def lasso_problem(instance: LassoInstance, family: str) -> Problem:
 def run_lasso_suite(cfg: LassoConfig) -> RunReport:
     """Run the configured variants on each seed's instance.
 
-    Each run stops when |F_k - F*| / F* falls below ``cfg.target`` (F
-    evaluated at the solution estimate) or at the iteration cap.  An
+    Each run stops when |F_k - F*| / F* falls to ``LASSO_TARGET`` = 1e-6
+    (F evaluated at the solution estimate) or at the iteration cap.  An
     empty list of variants or seeds, an unknown variant, a variant or seed
     listed twice, or a negative seed, raises ``ConfigurationError``, and a
     ``max_iters`` below 1 ``ParameterError``, before any instance is
@@ -447,7 +435,6 @@ def run_lasso_suite(cfg: LassoConfig) -> RunReport:
     that seed.  The per-record error series backs iteration-count
     comparisons across variants.
     """
-    require(cfg.target, "target", strict=False)     # a NaN target is never reached
     steps = _resolve(cfg, _variant_table(LASSO_FAMILIES, LASSO_LAM, LASSO_R_CONSTANT))
     records = []
     for seed in cfg.seeds:
@@ -464,7 +451,7 @@ def run_lasso_suite(cfg: LassoConfig) -> RunReport:
             problem = lasso_problem(instance, family)
             _, trace = run(
                 family, problem, step_cfg, np.zeros(cfg.n),
-                stop=lambda state, err: err <= cfg.target, max_iters=cfg.max_iters,
+                stop=lambda state, err: err <= LASSO_TARGET, max_iters=cfg.max_iters,
                 measure=lambda state: abs(problem.value(state.estimate) - f_star) / f_star,
             )
             records.append(RunRecord(variant=variant, seed=seed, status=trace.status,

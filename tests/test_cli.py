@@ -375,6 +375,20 @@ def test_config_file_applies_and_flags_override(tmp_path):
     assert not (outdir / "lasso-fb-seed1.csv").exists()
 
 
+def test_an_explicit_flag_overrides_the_config_whatever_its_value(tmp_path, capsys):
+    # --max-iters 0 is given, so the config's 5 is not read: 0 is refused
+    # before any work, with or without the config
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("max_iters = 5\n")
+    argv = ["lasso", "--max-iters", "0", "--seeds", "1", "--variants", "fb",
+            "--outdir", str(tmp_path)]
+    for extra in ([], ["--config", str(cfg)]):
+        assert cli.main(argv + extra) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "proxflow: error: max_iters must be finite and >= 1, got 0\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seeds = 1\nwibble = 2\n")

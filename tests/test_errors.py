@@ -81,15 +81,6 @@ CASES = {
                                   "alpha_bar", 0.0, True),
     "reference_solution": (lambda x: experiments.reference_solution(_LASSO, tol=x, max_iters=5),
                            "tol", 0.0, True),
-    "run_lasso_suite": (lambda x: experiments.run_lasso_suite(experiments.LassoConfig(
-        m=5, n=8, seeds=(0,), variants=("fb",), target=x, max_iters=5)), "target", 0.0, False),
-    "gen_lasso.noise_std": (lambda x: experiments.gen_lasso(5, 8, noise_std=x), "noise_std",
-                            0.0, False),
-    "gen_lasso.alpha_ratio": (lambda x: experiments.gen_lasso(5, 8, alpha_ratio=x),
-                              "alpha_ratio", 0.0, False),
-    # any finite mean is admissible: the bound -inf refuses only -inf itself
-    "gen_matcomp.entry_mean": (lambda x: experiments.gen_matcomp(4, 4, 2, entry_mean=x),
-                               "entry_mean", -math.inf, True),
 }
 
 

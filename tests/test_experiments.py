@@ -29,20 +29,15 @@ from proxflow.experiments import (
 
 
 def test_gen_lasso_unit_columns_and_support_count():
-    inst = gen_lasso(40, 200, sparsity=0.95, seed=3)
+    inst = gen_lasso(40, 200, seed=3)
     np.testing.assert_allclose(np.linalg.norm(inst.A, axis=0), 1.0, atol=1e-12)
     assert np.count_nonzero(inst.x_true) == round(0.05 * 200)
 
 
 def test_gen_lasso_full_scale_support_count():
     # 125 nonzero entries at the full study size
-    inst = gen_lasso(500, 2500, sparsity=0.95, seed=0)
+    inst = gen_lasso(500, 2500, seed=0)
     assert np.count_nonzero(inst.x_true) == 125
-
-
-def test_gen_lasso_noise_free_case():
-    inst = gen_lasso(20, 60, noise_std=0.0, seed=1)
-    np.testing.assert_array_equal(inst.b, inst.A @ inst.x_true)
 
 
 def test_gen_lasso_deterministic():
@@ -63,11 +58,6 @@ def test_gen_lasso_design_matches_norm_division(m, n, seed):
     A = gen_lasso(m, n, seed=seed).A
     assert np.array_equal(A, A0 / np.linalg.norm(A0, axis=0))
     np.testing.assert_allclose(np.linalg.norm(A, axis=0), 1.0, atol=1e-12)
-
-
-def test_gen_lasso_validates_sparsity():
-    with pytest.raises(ParameterError):
-        gen_lasso(10, 20, sparsity=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +147,13 @@ def test_reference_solution_desk_seeds_polished():
         assert kkt_violation(inst, ref.x) <= 1e-10 * inst.alpha
 
 
+def weighted_lasso(m, n, seed, ratio):
+    """The instance ``gen_lasso(m, n, seed=seed)`` with its weight at ``ratio``
+    times ``alpha_max``, in place of the generator's 0.1."""
+    inst = gen_lasso(m, n, seed=seed)
+    return replace(inst, alpha=ratio * alpha_max(inst.A, inst.b))
+
+
 def test_reference_solution_desk_seeds_end_at_a_polish():
     # the returned point is the support polish on its own sign pattern, so
     # the path of the iteration leaves no trace in x, F* or the residual
@@ -170,7 +167,7 @@ def test_reference_solution_desk_seeds_end_at_a_polish():
 def test_reference_solution_polishes_where_the_step_reaches_tol():
     # the step reaches tol 1e-8 at iteration 3, before any sign pattern can
     # have held for 3 iterations; the iterate itself has residual 1.6e-9
-    inst = gen_lasso(5, 5, seed=11, alpha_ratio=0.998)
+    inst = weighted_lasso(5, 5, 11, 0.998)
     ref = reference_solution(inst, tol=1e-8)
     assert ref.iterations == 3 and ref.residual <= 1e-15
     assert np.array_equal(
@@ -182,8 +179,8 @@ def small_lasso_instances(draw):
     m = draw(st.integers(5, 30))
     n = draw(st.integers(m, 4 * m))
     seed = draw(st.integers(0, 2**32 - 1))
-    alpha_ratio = draw(st.floats(0.01, 1.2))
-    return gen_lasso(m, n, seed=seed, alpha_ratio=alpha_ratio)
+    ratio = draw(st.floats(0.01, 1.2))
+    return weighted_lasso(m, n, seed, ratio)
 
 
 @given(small_lasso_instances())
@@ -191,7 +188,7 @@ def small_lasso_instances(draw):
 # forward-backward at 0.5/L reaches tol at step 21 with an iterate that
 # violates the optimality conditions by 3.8e-9*alpha; only a polish meets
 # them (here the one at step 4, after the sign pattern of step 1 held)
-@example(gen_lasso(5, 5, seed=0, alpha_ratio=0.998))
+@example(weighted_lasso(5, 5, 0, 0.998))
 def test_reference_solution_is_optimal_property(inst):
     ref = reference_solution(inst, tol=1e-12)
     assert ref.converged
@@ -303,7 +300,7 @@ def test_lasso_suite_smoke_and_trace_lengths():
         assert rec.status == "converged"
         # the stop rule reads the measured error: it fires at the first row
         # at or below the target
-        assert rec.final_error <= SMALL_LASSO.target < rec.errors[:-1].min()
+        assert rec.final_error <= experiments.LASSO_TARGET < rec.errors[:-1].min()
 
 
 def test_lasso_final_objectives_respect_reference_floor():
@@ -329,23 +326,37 @@ def test_lasso_suite_acceleration_helps_on_smoke_config():
     assert report.mean_iterations("admm-constant") < report.mean_iterations("admm")
 
 
-# `proxflow lasso --desk`'s runs, one (variant, seed, iterations, status,
-# final_error) a row
+# `proxflow lasso --desk`'s and `proxflow matcomp --desk`'s runs, one run a
+# row, final error last
 DESK_LASSO_RUNS = Path(__file__).with_name("lasso_desk_runs.csv")
+DESK_MATCOMP_RUNS = Path(__file__).with_name("matcomp_desk_runs.csv")
+
+
+def assert_runs_match(report, table, header):
+    """Each run of ``report`` against its row of ``table``: every column
+    exactly but the final error, which is pinned to rtol 1e-6, room for
+    another BLAS's last bits."""
+    first, *rows = table.read_text(encoding="utf-8").splitlines()
+    assert first == header
+    *columns, _ = header.split(",")
+    rows = [row.split(",") for row in rows]
+    assert ([[str(getattr(r, c)) for c in columns] for r in report.records]
+            == [row[:-1] for row in rows])
+    np.testing.assert_allclose([r.final_error for r in report.records],
+                               [float(row[-1]) for row in rows], rtol=1e-6, atol=0)
 
 
 def test_desk_lasso_suite_matches_its_committed_runs():
     # pins each run, not only the orderings the acceptance criteria read: a
-    # momentum index off by one moves a decaying run by a single iteration;
-    # the final errors are pinned to rtol 1e-6, room for another BLAS's last bits
-    header, *rows = DESK_LASSO_RUNS.read_text(encoding="utf-8").splitlines()
-    assert header == "variant,seed,iterations,status,final_error"
-    rows = [row.split(",") for row in rows]
-    expected = [(v, int(seed), int(k), status) for v, seed, k, status, _ in rows]
-    report = run_lasso_suite(LassoConfig())
-    assert [(r.variant, r.seed, r.iterations, r.status) for r in report.records] == expected
-    np.testing.assert_allclose([r.final_error for r in report.records],
-                               [float(row[4]) for row in rows], rtol=1e-6, atol=0)
+    # momentum index off by one moves a decaying run by a single iteration
+    assert_runs_match(run_lasso_suite(LassoConfig()), DESK_LASSO_RUNS,
+                      "variant,seed,iterations,status,final_error")
+
+
+def test_desk_matcomp_suite_matches_its_committed_runs():
+    # the single-weight completion study, its ranks included
+    assert_runs_match(run_matcomp_suite(MatCompConfig()), DESK_MATCOMP_RUNS,
+                      "variant,seed,iterations,status,rank,final_error")
 
 
 def test_lasso_suite_deterministic():
@@ -439,7 +450,7 @@ def test_default_variants_are_the_twelve_and_six_in_order():
 
 
 def test_suite_defaults_match_the_benchmark_copies(benchmark_workloads):
-    assert benchmark_workloads.LASSO_TARGET == LassoConfig().target
+    assert benchmark_workloads.LASSO_TARGET == experiments.LASSO_TARGET
     assert benchmark_workloads.MATCOMP_RANK == MatCompConfig().rank
 
 
