@@ -12,8 +12,10 @@ Each study has one instance recipe.  A lasso instance plants a 95%-sparse
 signal behind a unit-column Gaussian design, adds noise of standard
 deviation 1e-3 and sets alpha = 0.1 * alpha_max; each of its runs stops
 at a relative objective error of ``LASSO_TARGET`` = 1e-6.  A completion
-instance multiplies two factors with N(3, 1) entries.  Sizes, ranks,
-sampling fractions and seeds are the settings a caller chooses.
+instance multiplies two factors with N(3, 1) entries, and annealing
+follows one geometric schedule: from 0.25 * ||observed||_F, by factors
+of ``ANNEAL_DELTA`` = 0.25, down to ``ANNEAL_ALPHA_BAR`` = 1e-8.  Sizes,
+ranks, sampling fractions and seeds are the settings a caller chooses.
 
 All randomness flows through one ``numpy.random.default_rng(seed)``
 (PCG64) per instance; normal draws use the generator's documented
@@ -245,22 +247,23 @@ def gen_matcomp(n: int, m: int, rank: int, s: float = 0.4, seed: int = 0) -> Mat
     return MatCompInstance(M=M, mask=mask, lo=lo, hi=hi, seed=seed)
 
 
-def anneal_schedule(delta: float, alpha0: float, alpha_bar: float) -> list[float]:
-    """Geometric weight sequence alpha_{j+1} = max(delta*alpha_j, alpha_bar).
+ANNEAL_DELTA = 0.25
+ANNEAL_ALPHA_BAR = 1e-8
 
-    Starts at alpha0 and stops at the first attainment of alpha_bar; if
-    alpha0 is already at or below alpha_bar the sequence is just
-    [alpha_bar].
+
+def anneal_schedule(alpha0: float) -> list[float]:
+    """The completion study's weights: alpha_{j+1} = max(delta*alpha_j, alpha_bar).
+
+    delta = ``ANNEAL_DELTA`` and alpha_bar = ``ANNEAL_ALPHA_BAR``.  Starts
+    at alpha0 and stops at the first attainment of alpha_bar; if alpha0 is
+    already at or below alpha_bar the sequence is just [alpha_bar].
     """
-    if not 0 < delta < 1:
-        raise ParameterError(f"delta must be in (0, 1), got {delta}")
-    require(alpha_bar, "alpha_bar")
     require(alpha0, "alpha0", strict=False)     # an infinite alpha0 would never reach alpha_bar
-    if alpha0 <= alpha_bar:
-        return [alpha_bar]
+    if alpha0 <= ANNEAL_ALPHA_BAR:
+        return [ANNEAL_ALPHA_BAR]
     seq = [alpha0]
-    while seq[-1] > alpha_bar:
-        seq.append(max(delta * seq[-1], alpha_bar))
+    while seq[-1] > ANNEAL_ALPHA_BAR:
+        seq.append(max(ANNEAL_DELTA * seq[-1], ANNEAL_ALPHA_BAR))
     return seq
 
 
@@ -463,8 +466,6 @@ MATCOMP_LAM = 1.0
 # the constant-damping rate of each mode, which also names the modes
 MATCOMP_R_CONSTANT = {"single": 0.1, "anneal": 0.5}
 MATCOMP_STOP_TOL = 1e-10    # relative change of the estimate
-ANNEAL_DELTA = 0.25
-ANNEAL_ALPHA_BAR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -525,8 +526,7 @@ def run_matcomp_suite(cfg: MatCompConfig, mode: str = "single") -> RunReport:
         if mode == "single":
             alphas = [matched_single_alpha(instance)]
         else:
-            alphas = anneal_schedule(ANNEAL_DELTA, ANNEAL_DELTA * norm(instance.observed),
-                                     ANNEAL_ALPHA_BAR)
+            alphas = anneal_schedule(ANNEAL_DELTA * norm(instance.observed))
         for variant, family, step_cfg in steps:
             records.append(_matcomp_run(instance, family, variant, alphas, step_cfg, cfg))
     return RunReport(records)

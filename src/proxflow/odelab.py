@@ -227,7 +227,8 @@ def local_error_order(
     ||x_step - x(t+h)|| is fitted on log-log axes.  The largest steps are
     dropped above 0.1/sqrt(L) when a Lipschitz estimate is available,
     where higher-order terms would pollute the fit.  First-order methods
-    give a slope near 2.
+    give a slope near 2.  A non-finite step or a grid that cannot carry a
+    fit (see :func:`check_grid`) is refused before any step.
     """
     step_fn = check_method(method, problem)
     for t in (problem.f, problem.g, problem.w):
@@ -236,6 +237,8 @@ def local_error_order(
                                  "order measurement needs a smooth instance")
     x0 = as_element(x0, "x0")
     h_values = sorted(float(h) for h in h_values)
+    if not all(map(math.isfinite, h_values)):
+        raise ParameterError(f"h_values: every step must be finite, got {h_values}")
     check_grid(len(h_values), min(h_values, default=0.0), max(h_values, default=0.0))
     accelerated = schedule.accelerated
     # the prox parameter of the smallest step (h^2 may underflow to 0)
@@ -319,13 +322,14 @@ def continuous_rate_check(
     The trajectory is never stored: each RK4 state becomes its sample as
     it is produced, so the fit holds the time grid and one float per
     sample.  ``x_star`` must be finite with the shape of ``x0``, ``F_star``
-    finite and ``steps`` a whole number >= 1; all are checked before any
-    RK work.
+    finite, ``window`` a pair with 0 <= w0 < w1 <= 1 and ``steps`` a whole
+    number >= 1; all are checked before any RK work.
     """
     if kind not in ("exponential", "power"):
         raise ParameterError(f"unknown fit kind {kind!r}; use 'exponential' or 'power'")
-    if not 0.0 <= window[0] < window[1] <= 1.0:
-        raise ParameterError(f"window must satisfy 0 <= w0 < w1 <= 1, got {window}")
+    if len(window) != 2 or not 0.0 <= window[0] < window[1] <= 1.0:
+        raise ParameterError(f"window must be a pair (w0, w1) with 0 <= w0 < w1 <= 1, "
+                             f"got {window}")
     require(F_star, "F_star", -math.inf)
     ts, dt, x0, v0 = _start(flow, x0, v0, t0, T, steps)
     x_star = as_element(x_star, "x_star")

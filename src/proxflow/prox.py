@@ -61,21 +61,15 @@ def grad_check(w, x: Element) -> float:
     return float(np.max(np.abs(g - fd) / (1.0 + np.abs(g))))
 
 
-def _smaller_gram(A: np.ndarray) -> np.ndarray:
-    """``A A^T`` when m < n, else ``A^T A`` (exactly symmetric)."""
-    return A @ A.T if A.shape[0] < A.shape[1] else A.T @ A
-
-
 def gram_spectral_norm(A: Element) -> float:
     """Largest eigenvalue of ``A^T A``, i.e. the squared spectral norm of A.
 
-    Computed by a symmetric eigensolver on the smaller Gram matrix:
-    ``A A^T`` (m x m) when m < n, which has the same nonzero eigenvalues
-    as ``A^T A``, and ``A^T A`` otherwise (the same choice the
-    least-squares prox makes).  Exact to rounding, and 0 for a zero
+    Computed by a symmetric eigensolver on ``A A^T`` (m x m), which has the
+    same nonzero eigenvalues as ``A^T A`` and is the matrix the
+    least-squares prox factors.  Exact to rounding, and 0 for a zero
     matrix.
     """
-    return float(np.linalg.eigvalsh(_smaller_gram(A))[-1])
+    return float(np.linalg.eigvalsh(A @ A.T)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -86,22 +80,25 @@ class _CholeskyCache:
     """Per-``lam`` entries ``((I + lam*M)^{-1}, lam*shift)``, built on first use.
 
     The least-squares and quadratic proxes solve systems in I + lam*M
-    whose right-hand sides have the constant part lam*shift.  The inverse
-    is L^{-T} L^{-1}, from the Cholesky factor L of I + lam*M, and is
-    applied by one matrix-vector product.  Its error is of order kappa*eps
-    times ||inverse||*||rhs||, a Cholesky solve's kappa*eps times
-    ||solution||; the two agree unless the right-hand side lies mostly
-    along the large eigenvalues of I + lam*M (kappa <= 1 + lam*||M||).
+    whose right-hand sides have the constant part lam*shift: M = A A^T
+    (m x m) with shift -b, and M = P with shift -q.  The inverse is
+    L^{-T} L^{-1}, from the Cholesky factor L of I + lam*M, and is applied
+    by one matrix-vector product.  Its error is of order kappa*eps times
+    ||inverse||*||rhs||, a Cholesky solve's kappa*eps times ||solution||;
+    the two agree unless the right-hand side lies mostly along the large
+    eigenvalues of I + lam*M (kappa <= 1 + lam*||M||).
 
-    ``matrix()`` returns a fresh array holding M; it is scaled and shifted
-    in place.  Adding 1 on the diagonal gives the same bits as
-    ``np.eye(n) + lam*M`` without the identity temporary.  Solvers call a
-    prox every iteration at fixed ``lam``, so each entry is built once;
-    the build is lock-protected so concurrent callers share it.
+    ``matrix()`` returns a fresh array holding M (``A @ A.T``, or a copy
+    of P); it is scaled and shifted in place.  Adding 1 on the diagonal
+    gives the same bits as ``np.eye(n) + lam*M`` without the identity
+    temporary.  Solvers call a prox every iteration at fixed ``lam``, so
+    each entry is built once; the build is lock-protected so concurrent
+    callers share it.
 
-    ``matrix`` must close over M alone: a builder that reaches the owning
-    oracle (its bound method, a lambda over ``self``) makes a reference
-    cycle that keeps M alive until the cyclic garbage collector runs.
+    ``matrix`` must close over A or P alone: a builder that reaches the
+    owning oracle (its bound method, a lambda over ``self``) makes a
+    reference cycle that keeps the data alive until the cyclic garbage
+    collector runs.
     """
 
     def __init__(self, matrix, shift: np.ndarray):
@@ -191,20 +188,20 @@ class Nuclear:
 class LeastSquares:
     """0.5*||A x - b||^2: smooth (gradient A^T(Ax-b)) and prox-capable.
 
-    The prox u solves u + lam*A^T (A u - b) = v through the inverse of the
-    smaller of two SPD systems, cached per ``lam`` (the solvers call the
-    prox every iteration at fixed ``lam``):
+    The prox u solves u + lam*A^T (A u - b) = v.  Its residual w = A u - b
+    solves (I + lam*A A^T) w = A v - b, and u = v - lam*A^T w (the matrix
+    inversion lemma of Boyd et al. 2011, *Distributed Optimization and
+    Statistical Learning via ADMM*, sec. 4.2.4).  The m x m inverse is
+    cached per ``lam`` (the solvers call the prox every iteration at fixed
+    ``lam``).  Solving for the residual, rather than applying the lemma to
+    v + lam*A^T b, keeps u from being the small difference of two large
+    vectors when lam*||A||^2 is large.
 
-    * m >= n: u = (I + lam*A^T A)^{-1} (v + lam*A^T b), with the n x n
-      inverse;
-    * m < n: the residual w = A u - b solves (I + lam*A A^T) w = A v - b,
-      and u = v - lam*A^T w (the matrix inversion lemma of Boyd et al.
-      2011, *Distributed Optimization and Statistical Learning via ADMM*,
-      sec. 4.2.4), with the m x m inverse.  Solving for the residual,
-      rather than applying the lemma to v + lam*A^T b, keeps u from being
-      the small difference of two large vectors when lam*||A||^2 is large.
-
-    The cached inverse is min(m, n) square.
+    The system is m x m for every shape, the smaller one for the wide
+    designs (m < n) of the lasso study.  For m >= n,
+    ``Quadratic(A.T @ A, -(A.T @ b))`` solves the n x n system: its prox
+    is the same, its gradient agrees up to rounding, and its value is
+    lower by ||b||^2 / 2.
     """
 
     def __init__(self, A, b):
@@ -214,9 +211,7 @@ class LeastSquares:
             raise ParameterError(
                 f"inconsistent dimensions: A {self.A.shape}, b {self.b.shape}"
             )
-        self._wide = self.A.shape[0] < self.A.shape[1]
-        shift = -self.b if self._wide else self.A.T @ self.b
-        self._factor = _CholeskyCache(partial(_smaller_gram, self.A), shift)
+        self._factor = _CholeskyCache(partial(np.matmul, self.A, self.A.T), -self.b)
 
     def value(self, x: Element) -> float:
         r = self.A @ x - self.b
@@ -232,8 +227,6 @@ class LeastSquares:
         if v.shape[0] != self.A.shape[1]:
             raise ParameterError(f"v has shape {v.shape}, expected ({self.A.shape[1]},)")
         inverse, shift = self._factor(require(lam, "prox parameter"))
-        if not self._wide:
-            return inverse @ (v + shift)
         # the inverse maps lam*(A v - b) to lam*w
         return v - self.A.T @ (inverse @ (lam * (self.A @ v) + shift))
 

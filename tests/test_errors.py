@@ -75,10 +75,7 @@ CASES = {
     "reference_trajectory": (
         lambda x: odelab.reference_trajectory(odelab.GradientFlow(_QUAD), _V, T=x),
         "time span T - t0", 0.0, True),
-    "anneal_schedule.alpha0": (lambda x: experiments.anneal_schedule(0.5, x, 1e-3),
-                               "alpha0", 0.0, False),
-    "anneal_schedule.alpha_bar": (lambda x: experiments.anneal_schedule(0.5, 1.0, x),
-                                  "alpha_bar", 0.0, True),
+    "anneal_schedule.alpha0": (experiments.anneal_schedule, "alpha0", 0.0, False),
     "reference_solution": (lambda x: experiments.reference_solution(_LASSO, tol=x, max_iters=5),
                            "tol", 0.0, True),
 }

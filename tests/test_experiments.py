@@ -262,26 +262,31 @@ def test_gen_matcomp_validates():
 
 
 def test_anneal_schedule_direct():
-    assert anneal_schedule(0.25, 16.0, 1.0) == [16.0, 4.0, 1.0]
+    bar = experiments.ANNEAL_ALPHA_BAR
+    assert experiments.ANNEAL_DELTA == 0.25
+    assert anneal_schedule(16.0 * bar) == [16.0 * bar, 4.0 * bar, bar]
 
 
 def test_anneal_schedule_immediate_clip():
-    assert anneal_schedule(0.25, 0.5, 1.0) == [1.0]
+    bar = experiments.ANNEAL_ALPHA_BAR
+    for alpha0 in (0.0, 0.5 * bar, bar):
+        assert anneal_schedule(alpha0) == [bar]
 
 
 def test_anneal_schedule_length_by_enumeration():
-    seq = anneal_schedule(0.25, 1.0, 1e-8)
+    seq = anneal_schedule(1.0)
     # direct enumeration: 0.25^13 = 1.49e-8 > 1e-8 >= 0.25^14, then the clip
+    assert experiments.ANNEAL_ALPHA_BAR == 1e-8
     expected = [0.25 ** j for j in range(14)] + [1e-8]
     assert len(seq) == 15
     np.testing.assert_allclose(seq, expected, rtol=1e-12)
 
 
 def test_anneal_schedule_validates():
-    with pytest.raises(ParameterError):
-        anneal_schedule(1.0, 4.0, 1.0)
-    with pytest.raises(ParameterError):
-        anneal_schedule(0.5, 4.0, 0.0)
+    # an infinite or NaN start would never reach alpha_bar
+    for alpha0 in (math.inf, math.nan, -1.0):
+        with pytest.raises(ParameterError, match="^alpha0 must be finite and >= 0"):
+            anneal_schedule(alpha0)
 
 
 # ---------------------------------------------------------------------------

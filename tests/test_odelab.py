@@ -169,6 +169,9 @@ class _CountingOracle:
     (dict(kind="power", window=(0.8, 0.2)), ParameterError),
     (dict(window=(-0.1, 1.0)), ParameterError),
     (dict(window=(0.5, 1.1)), ParameterError),
+    # the range check reads only the first two entries
+    (dict(window=(0.5, 0.7, 0.9)), ParameterError),
+    (dict(window=(0.5,)), ParameterError),
     # x0 has shape (2,): numpy would broadcast the last two
     (dict(x_star=np.zeros(3)), ShapeMismatchError),
     (dict(x_star=np.zeros(1)), ShapeMismatchError),
@@ -177,8 +180,8 @@ class _CountingOracle:
     (dict(kind="power", F_star=math.nan), ParameterError),
     (dict(F_star=-math.inf), ParameterError),
 ], ids=["exponental-window0", "power-window1", "power-window2", "exponential-window3",
-        "exponential-window4", "x_star-longer", "x_star-one-entry", "x_star-column",
-        "x_star-nan", "F_star-nan", "F_star-inf"])
+        "exponential-window4", "window-three-entries", "window-one-entry", "x_star-longer",
+        "x_star-one-entry", "x_star-column", "x_star-nan", "F_star-nan", "F_star-inf"])
 def test_rate_check_rejects_bad_arguments_before_integrating(bad, error):
     oracle = _CountingOracle()
     args = dict(dict(x_star=np.zeros(2), F_star=0.0, kind="exponential", window=(0.5, 1.0)),
@@ -401,11 +404,16 @@ def test_local_error_order_refuses_zero_momentum_before_any_rk_work(monkeypatch)
 
 def test_local_error_order_degenerate_grid_rejected():
     problem = quadratic_problem(seed=7)
-    for hs, reason in (([], "at least 3 points, got 0"),
-                       ([1e-3, 2e-3], "at least 3 points, got 2"),
-                       ([1e-2, 1e-3, 5e-3], "steps spanning at least 1.5 decades, "
-                                            "got 0.001 to 0.01")):
-        with pytest.raises(ParameterError, match=f"^h_values: an order fit needs {reason}$"):
+    non_finite = r"every step must be finite, got \[.*\]"
+    for hs, reason in (([], "an order fit needs at least 3 points, got 0"),
+                       ([1e-3, 2e-3], "an order fit needs at least 3 points, got 2"),
+                       ([1e-2, 1e-3, 5e-3], "an order fit needs steps spanning at least "
+                                            "1.5 decades, got 0.001 to 0.01"),
+                       # the Lipschitz filter h <= 0.1/sqrt(L) would drop them quietly
+                       ([1e-3, math.nan, 3e-3, 1e-2, 1e-1], non_finite),
+                       ([1e-3, 1e-2, 1e-1, math.inf], non_finite),
+                       ([math.nan, 1e-3, 1e-2, 1e-1], non_finite)):
+        with pytest.raises(ParameterError, match=f"^h_values: {reason}$"):
             local_error_order("dy", problem, NoDamping(), hs, x0=np.zeros(3))
 
 

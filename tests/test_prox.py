@@ -170,12 +170,27 @@ def test_least_squares_prox_matches_dense_solve(rng, shape, lam):
 
 
 @pytest.mark.parametrize("shape", [(5, 8), (8, 5), (6, 6)])
-def test_least_squares_factor_is_smaller_side(rng, shape):
+def test_least_squares_factor_is_m_by_m(rng, shape):
     ls = prox.LeastSquares(rng.standard_normal(shape), rng.standard_normal(shape[0]))
     ls.prox(rng.standard_normal(shape[1]), 0.5)
-    k = min(shape)
+    m = shape[0]
     factor, _ = ls._factor(0.5)
-    assert factor.shape == (k, k)
+    assert factor.shape == (m, m)
+
+
+@pytest.mark.parametrize("shape", [(60, 20), (60, 60)], ids=["tall", "square"])
+@pytest.mark.parametrize("lam", [1e-3, 0.1, 10.0, 1e3])
+def test_least_squares_matches_its_n_by_n_quadratic_route(rng, shape, lam):
+    # for m >= n, Quadratic(A^T A, -A^T b) inverts the smaller n x n system
+    m, n = shape
+    A = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    v = rng.standard_normal(n)
+    ls, quad = prox.LeastSquares(A, b), prox.Quadratic(A.T @ A, -(A.T @ b))
+    tol = 1e-10 * (1.0 + lam * np.linalg.norm(A, 2) ** 2)
+    for got, want in ((ls.prox(v, lam), quad.prox(v, lam)), (ls.grad(v), quad.grad(v))):
+        assert space.norm(got - want) <= tol * space.norm(want)
+    assert ls.value(v) == pytest.approx(quad.value(v) + 0.5 * float(b @ b), rel=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(50, 250), (250, 50), (60, 60)],
