@@ -8,19 +8,19 @@ Oracles are duck-typed.  A prox-capable term exposes
 and a smooth term exposes ``value(x)``, ``grad(x)`` and (when cheap) a
 ``lipschitz()`` estimate for the gradient.  Several classes implement
 both sides and can sit in any slot of a three-term split.  Oracles are
-immutable after construction except for the per-``lam`` caches of the
-inverted systems behind the least-squares and quadratic proxes, which
-are lock-protected so any number of threads may evaluate the same
-oracle concurrently.  A cache holds only the matrix it inverts, never
-its oracle, so an oracle and its inverses are freed by reference
-counting as soon as its last reference goes, without waiting for the
-cyclic garbage collector.
+immutable after construction except for the per-``lam`` memo of the
+inverted system behind the least-squares and quadratic proxes, one
+``functools.cache`` per oracle.  Concurrent calls read it coherently,
+but two threads that race on a ``lam``'s first call may both build its
+inverse; nothing in the package calls one oracle from two threads.  A
+memo holds only the matrix it inverts, never its oracle, so an oracle
+and its inverses are freed by reference counting as soon as its last
+reference goes, without waiting for the cyclic garbage collector.
 """
 
 from __future__ import annotations
 
-import threading
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -73,11 +73,11 @@ def gram_spectral_norm(A: Element) -> float:
 
 
 # ---------------------------------------------------------------------------
-# factorization cache
+# regularized inverse
 
 
-class _CholeskyCache:
-    """Per-``lam`` entries ``((I + lam*M)^{-1}, lam*shift)``, built on first use.
+def _regularized_inverse(matrix, shift: np.ndarray, lam: float) -> tuple:
+    """``((I + lam*M)^{-1}, lam*shift)`` for ``lam > 0``.
 
     The least-squares and quadratic proxes solve systems in I + lam*M
     whose right-hand sides have the constant part lam*shift: M = A A^T
@@ -91,44 +91,31 @@ class _CholeskyCache:
     ``matrix()`` returns a fresh array holding M (``A @ A.T``, or a copy
     of P); it is scaled and shifted in place.  Adding 1 on the diagonal
     gives the same bits as ``np.eye(n) + lam*M`` without the identity
-    temporary.  Solvers call a prox every iteration at fixed ``lam``, so
-    each entry is built once; the build is lock-protected so concurrent
-    callers share it.
+    temporary.  Each oracle memoizes this builder per ``lam`` with
+    ``functools.cache`` over a ``partial`` binding ``matrix`` and
+    ``shift``, so ``lam`` is checked once, when first seen, and a refused
+    one leaves nothing cached.
 
     ``matrix`` must close over A or P alone: a builder that reaches the
     owning oracle (its bound method, a lambda over ``self``) makes a
     reference cycle that keeps the data alive until the cyclic garbage
     collector runs.
     """
-
-    def __init__(self, matrix, shift: np.ndarray):
-        self._matrix = matrix
-        self._shift = shift
-        self._entries: dict[float, tuple] = {}
-        self._lock = threading.Lock()
-
-    def __call__(self, lam: float) -> tuple:
-        entry = self._entries.get(lam)
-        if entry is None:
-            with self._lock:
-                entry = self._entries.get(lam)
-                if entry is None:
-                    # I + lam*M, then its factor L, then L^{-1}: each rebinding
-                    # frees the matrix before it
-                    a = self._matrix()
-                    a *= lam
-                    a.flat[:: a.shape[0] + 1] += 1.0
-                    try:
-                        a = np.linalg.cholesky(a)
-                        a = np.linalg.inv(a)
-                    except np.linalg.LinAlgError as exc:
-                        raise NumericalError(
-                            f"Cholesky factorization failed for system of shape "
-                            f"{a.shape} (lam={lam}): {exc}"
-                        ) from exc
-                    entry = (a.T @ a, lam * self._shift)
-                    self._entries[lam] = entry
-        return entry
+    require(lam, "prox parameter")
+    # I + lam*M, then its factor L, then L^{-1}: each rebinding frees the
+    # matrix before it
+    a = matrix()
+    a *= lam
+    a.flat[:: a.shape[0] + 1] += 1.0
+    try:
+        a = np.linalg.cholesky(a)
+        a = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"Cholesky factorization failed for system of shape "
+            f"{a.shape} (lam={lam}): {exc}"
+        ) from exc
+    return a.T @ a, lam * shift
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +198,8 @@ class LeastSquares:
             raise ParameterError(
                 f"inconsistent dimensions: A {self.A.shape}, b {self.b.shape}"
             )
-        self._factor = _CholeskyCache(partial(np.matmul, self.A, self.A.T), -self.b)
+        self._factor = cache(partial(_regularized_inverse,
+                                     partial(np.matmul, self.A, self.A.T), -self.b))
 
     def value(self, x: Element) -> float:
         r = self.A @ x - self.b
@@ -226,7 +214,7 @@ class LeastSquares:
     def prox(self, v: Element, lam: float) -> Element:
         if v.shape[0] != self.A.shape[1]:
             raise ParameterError(f"v has shape {v.shape}, expected ({self.A.shape[1]},)")
-        inverse, shift = self._factor(require(lam, "prox parameter"))
+        inverse, shift = self._factor(lam)
         # the inverse maps lam*(A v - b) to lam*w
         return v - self.A.T @ (inverse @ (lam * (self.A @ v) + shift))
 
@@ -235,17 +223,23 @@ class Quadratic:
     """0.5*x^T P x + q^T x for symmetric positive semidefinite P.
 
     Smooth and prox-capable; the prox solves (I + lam*P) u = v - lam*q
-    with the inverse of I + lam*P, cached per ``lam``.
+    with the inverse of I + lam*P, cached per ``lam``.  That inverse comes
+    from a Cholesky factor, which reads only the lower triangle of P,
+    while ``value`` and ``grad`` read all of it; so a P with
+    max|P - P^T| > 1e-12 * max|P| (more than rounding) is refused.
     """
 
     def __init__(self, P, q=None):
         self.P = as_element(P, "P")
         if self.P.ndim != 2 or self.P.shape[0] != self.P.shape[1]:
             raise ParameterError(f"P must be square, got shape {self.P.shape}")
+        skew = float(np.max(np.abs(self.P - self.P.T), initial=0.0))
+        if skew > 1e-12 * np.max(np.abs(self.P), initial=0.0):
+            raise ParameterError(f"P must be symmetric, got max |P - P^T| = {skew:g}")
         self.q = np.zeros(self.P.shape[0]) if q is None else as_element(q, "q")
         if self.q.shape != (self.P.shape[0],):
             raise ParameterError(f"q has shape {self.q.shape}, expected ({self.P.shape[0]},)")
-        self._factor = _CholeskyCache(self.P.copy, -self.q)
+        self._factor = cache(partial(_regularized_inverse, self.P.copy, -self.q))
 
     def value(self, x: Element) -> float:
         return 0.5 * float(x @ (self.P @ x)) + float(self.q @ x)
@@ -257,7 +251,7 @@ class Quadratic:
         return float(np.max(np.linalg.eigvalsh(self.P)))
 
     def prox(self, v: Element, lam: float) -> Element:
-        inverse, shift = self._factor(require(lam, "prox parameter"))
+        inverse, shift = self._factor(lam)
         return inverse @ (v + shift)
 
 

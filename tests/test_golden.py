@@ -59,3 +59,19 @@ def test_digest_ignores_time_s_and_sees_every_other_byte(tmp_path):
             assert golden.digest(tmp_path)[rel] != base[rel], (rel, i)
         _write(tmp_path, {rel: data})
     assert golden.digest(tmp_path) == base
+
+
+def test_differing_names_every_changed_added_and_removed_path(tmp_path):
+    golden = _golden()
+    base, change = tmp_path / "base", tmp_path / "change"
+    _write(base, FILES)
+    _write(change, FILES)
+    assert golden.differing(golden.digest(base), golden.digest(change)) == []
+
+    # a clock-only change is no difference; a result byte, a new file and
+    # a missing file each are
+    _write(change, {"solve/solve-quad.csv": TRACE.replace("0.0031", "9.5"),
+                    "solve/_exit": "3\n", "extra/_stdout": "new\n"})
+    (change / "lasso" / "lasso-dy-seed1.csv").unlink()
+    assert golden.differing(golden.digest(base), golden.digest(change)) == [
+        "extra/_stdout", "lasso/lasso-dy-seed1.csv", "solve/_exit"]

@@ -207,6 +207,37 @@ def test_gram_spectral_norm_zero_matrix():
     assert prox.gram_spectral_norm(np.zeros((4, 7))) == 0.0
 
 
+def test_quadratic_refuses_a_p_that_is_not_symmetric():
+    # the Cholesky factor reads only P's lower triangle while grad reads
+    # all of it: this P's prox would return (0.5, -0.5), where
+    # u + lam*grad(u) - v = (-0.25, 0)
+    with pytest.raises(ParameterError, match=r"^P must be symmetric"):
+        prox.Quadratic(np.array([[2.0, 1.0], [0.0, 2.0]]))
+    with pytest.raises(ParameterError, match=r"^P must be symmetric"):
+        prox.Quadratic(np.array([[1.0, 1e-11], [0.0, 1.0]]))
+    # a rounding-level asymmetry, as a product of factors leaves, is accepted
+    prox.Quadratic(np.array([[1.0, 1e-13], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("kind", ["least-squares", "quadratic"])
+def test_factor_is_built_once_per_lam_and_never_for_a_refused_one(rng, monkeypatch, kind):
+    builds = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: builds.append(1) or cholesky(a))
+    oracle = (prox.LeastSquares(rng.standard_normal((4, 6)), rng.standard_normal(4))
+              if kind == "least-squares" else prox.Quadratic(make_spd(6, rng)))
+    v = rng.standard_normal(6)
+    for lam in (0.0, -1.0, np.nan, np.inf):
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="^prox parameter must be finite"):
+                oracle.prox(v, lam)
+    assert builds == []
+    first = oracle.prox(v, 0.5)
+    np.testing.assert_array_equal(oracle.prox(v, 0.5), first)
+    oracle.prox(v, 2.0)
+    assert len(builds) == 2
+
+
 def test_quadratic_not_psd_raises_numerical_error():
     quad = prox.Quadratic(np.diag([-5.0, 1.0]))
     with pytest.raises(NumericalError, match=r"shape \(2, 2\).*lam=1.0"):

@@ -621,3 +621,106 @@ def test_estimate_change_rule_reused_across_runs():
                    max_iters=10_000)
     assert reused.iterations == fresh.iterations >= 2
     np.testing.assert_array_equal(reused.residuals, fresh.residuals)
+
+
+# ---------------------------------------------------------------------------
+# what the balance coefficient buys, and where each step stays stable
+
+
+def test_balanced_admm_keeps_the_steady_state_the_unbalanced_composition_misses():
+    # Speth, Green, MacNamara & Strang (SIAM J. Numer. Anal. 2013): the
+    # rebalanced splitting keeps the flow's steady state at every lam,
+    # while the plain composition prox_g o prox_f is biased by O(lam)
+    f, g, _ = cli._quadratic_triple()
+    x_star = -np.linalg.solve(f.P + g.P, f.q + g.q)
+    lams = [0.4, 0.2, 0.1, 0.05, 0.025]
+    slope_band, balanced_tol = (0.9, 1.1), 1e-10
+    biases = []
+    for lam in lams:
+        state, trace = run("admm", Problem(f=f, g=g), StepConfig(lam=lam),
+                           np.ones(2), stop=stop_on_residual(1e-14), max_iters=100_000)
+        assert trace.status == CONVERGED
+        assert space.norm(state.x - x_star) <= balanced_tol, lam
+        x, prev = np.ones(2), None
+        while prev is None or space.norm(x - prev) > 1e-15:
+            x, prev = g.prox(f.prox(x, lam), lam), x
+        biases.append(space.norm(x - x_star))
+    slope = np.polyfit(np.log(lams), np.log(biases), 1)[0]
+    assert slope_band[0] <= slope <= slope_band[1], (slope, biases)
+
+
+# a 1-D linear step with multiplier mu and momentum gamma has the
+# characteristic polynomial z^2 - (1 + gamma)*mu*z + gamma*mu (Polyak 1964)
+STABILITY_MARGIN = 0.05          # runs at (1 -/+ margin) x the threshold
+STABILITY_RANGE = (0.05, 4.0)    # the lam*L searched for a threshold
+STABILITY_ITERS = 20_000
+_TINY = 1e-12                    # curvature of a "zero" quadratic term
+
+
+def _stability_problem(method):
+    # w = x^2/2 (L = 1) and near-zero f, g, where each method takes them;
+    # dr has no w, so x^2/2 is its f
+    half, tiny = prox.Quadratic(np.eye(1)), prox.Quadratic(np.array([[_TINY]]))
+    return {"admm": Problem(f=tiny, g=tiny, w=half), "dy": Problem(f=tiny, g=tiny, w=half),
+            "dr": Problem(f=half, g=tiny), "fb": Problem(g=tiny, w=half),
+            "tseng": Problem(g=tiny, w=half)}[method]
+
+
+def _worst_gamma(schedule, a):
+    # every schedule's gamma_k is nondecreasing in k, so the run's last
+    # step has the largest; with L = 1, lam = a
+    return schedule.gamma(STABILITY_ITERS, StepConfig(lam=a, schedule=schedule).h)
+
+
+def _companion(method, a, gamma):
+    # the linear step on (x_k, x_{k-1}[, c_k]), with xhat = (1+gamma)x - gamma*x_prev
+    s = 1.0 / (1.0 + a * _TINY)                  # the prox of a "zero" term
+    if method == "dr":
+        xh = np.array([1.0 + gamma, -gamma])
+        q = xh / (1.0 + a)                       # prox_f of x^2/2
+        return np.array([xh + s * (2.0 * q - xh) - q, [1.0, 0.0]])
+    xh = np.array([1.0 + gamma, -gamma, 0.0])
+    half = s * ((1.0 - a) * xh + [0.0, 0.0, a])
+    nxt = s * (half - [0.0, 0.0, a])
+    return np.array([nxt, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0] + (nxt - half) / a])
+
+
+def _stable(method, schedule, a):
+    gamma = _worst_gamma(schedule, a)
+    if method in ("fb", "dy"):           # mu = 1 - a
+        return a < 2.0 * (1.0 + gamma) / (1.0 + 2.0 * gamma)
+    if method == "tseng":                # mu = 1 - a + a^2 > 0
+        return a < 1.0
+    return max(abs(np.linalg.eigvals(_companion(method, a, gamma)))) < 1.0
+
+
+def _threshold(method, schedule):
+    """The lam*L where the step turns unstable, or None if it stays stable
+    over ``STABILITY_RANGE``; the stable set must be an interval from its
+    bottom."""
+    grid = np.linspace(*STABILITY_RANGE, 400)
+    stable = [_stable(method, schedule, a) for a in grid]
+    assert stable[0] and stable == sorted(stable, reverse=True), (method, schedule)
+    if stable[-1]:
+        return None
+    first_unstable = stable.index(False)
+    lo, hi = grid[first_unstable - 1], grid[first_unstable]
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _stable(method, schedule, mid) else (lo, mid)
+    return hi
+
+
+@pytest.mark.parametrize("schedule", [NoDamping(), DecayingDamping(), ConstantDamping(0.1)],
+                         ids=["none", "decaying", "constant"])
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_stability_threshold_of_every_method_and_damping(method, schedule):
+    problem = _stability_problem(method)
+    threshold = _threshold(method, schedule)
+    runs = ([(STABILITY_RANGE[1], CONVERGED)] if threshold is None else
+            [((1 - STABILITY_MARGIN) * threshold, CONVERGED),
+             ((1 + STABILITY_MARGIN) * threshold, DIVERGED)])
+    for a, status in runs:
+        _, trace = run(method, problem, StepConfig(lam=a, schedule=schedule), np.ones(1),
+                       stop=stop_on_residual(1e-12), max_iters=STABILITY_ITERS)
+        assert trace.status == status, (a, threshold, trace.iterations)

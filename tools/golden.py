@@ -9,7 +9,13 @@ column (a clock, not a result) is hashed without it.  Two source trees
 give the same outputs when their digests are equal:
 
     python tools/golden.py OUTDIR [--src SRC]     # SRC: dir holding proxflow/, default src
-    diff base/SHA256SUMS change/SHA256SUMS
+    python tools/golden.py --base REV OUTDIR [--src SRC]
+
+With ``--base``, git revision REV is checked out into a temporary
+``git worktree`` (removed on exit; no network needed), and its source
+and SRC write their digests under ``OUTDIR/base`` and ``OUTDIR/change``.
+Every path whose digest differs, or that only one side has, is printed,
+and the exit code is 1 if there is any, else 0.
 
 Standard library only.
 """
@@ -21,6 +27,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -115,19 +122,56 @@ def digest(outdir: Path) -> dict[str, str]:
             if path.is_file() and path.name != DIGEST}
 
 
+def differing(base: dict[str, str], change: dict[str, str]) -> list[str]:
+    """Paths whose digest differs between two :func:`digest` maps, or that one lacks."""
+    return sorted(rel for rel in base.keys() | change.keys() if base.get(rel) != change.get(rel))
+
+
+def write_digests(src: Path, outdir: Path) -> dict[str, str]:
+    """Run every command from ``src`` under ``outdir``; write and return its digests."""
+    for name, command in COMMANDS.items():
+        run_command(src, outdir / name, command)
+    sums = digest(outdir)
+    (outdir / DIGEST).write_text("".join(f"{sha}  {rel}\n" for rel, sha in sums.items()),
+                                 encoding="utf-8")
+    return sums
+
+
+def base_digests(rev: str, outdir: Path) -> dict[str, str]:
+    """:func:`write_digests` of revision ``rev``'s ``src``, from a temporary worktree."""
+    git = ["git", "-C", str(ROOT), "worktree"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "base"
+        subprocess.run([*git, "add", "--detach", "--quiet", str(tree), rev], check=True)
+        try:
+            return write_digests(tree / "src", outdir)
+        finally:
+            subprocess.run([*git, "remove", "--force", str(tree)], check=False)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("outdir", type=Path)
     parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--base", metavar="REV",
+                        help="compare with git revision REV's outputs; exit 1 if any differ")
     args = parser.parse_args(argv)
     if args.outdir.exists() and any(args.outdir.iterdir()):
         parser.error(f"{args.outdir} is not empty")
-    for name, command in COMMANDS.items():
-        run_command(args.src, args.outdir / name, command)
-    text = "".join(f"{sha}  {rel}\n" for rel, sha in digest(args.outdir).items())
-    (args.outdir / DIGEST).write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
-    return 0
+    if args.base is None:
+        write_digests(args.src, args.outdir)
+        sys.stdout.write((args.outdir / DIGEST).read_text(encoding="utf-8"))
+        return 0
+    try:
+        base = base_digests(args.base, args.outdir / "base")
+    except subprocess.CalledProcessError:
+        parser.error(f"git cannot check {args.base} out into a worktree")
+    change = write_digests(args.src, args.outdir / "change")
+    paths = differing(base, change)
+    sys.stdout.write("".join(f"{rel}\n" for rel in paths))
+    print(f"{len(paths)} of {len(base.keys() | change.keys())} digests differ from {args.base}",
+          file=sys.stderr)
+    return 1 if paths else 0
 
 
 if __name__ == "__main__":
