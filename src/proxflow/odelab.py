@@ -210,6 +210,30 @@ def check_grid(points: int, lo: float, hi: float,
                              f"1.5 decades, got {lo:g} to {hi:g}")
 
 
+def _matched_starts(problem: Problem, schedule: Schedule, x0: Element, h_values, t0: float):
+    """The matched start of a solver at x0 for each step h (module docstring).
+
+    Returns the flow through x0, its velocity v0 there (None in plain
+    mode) and, per h, the step config, the state a run holds at x0 (the
+    solver's own transition from x_{k0-1} to x0) and the flow time of x0.
+    It does no RK work, so a bad config (say r2*h > 1) fails before any.
+    """
+    accelerated = schedule.accelerated
+    # Deterministic, generic velocity; avoid anything proportional to
+    # grad F(x0), which could cancel the leading error term.
+    v0 = np.cos(1.0 + np.arange(x0.size)).reshape(x0.shape) if accelerated else None
+    c = -problem.g.grad(x0)     # the matched balance coefficient
+    flow = AcceleratedFlow(problem, schedule) if accelerated else GradientFlow(problem)
+    starts = []
+    for h in h_values:
+        cfg = StepConfig(lam=h * h, schedule=schedule) if accelerated else StepConfig(lam=h)
+        k0, x_prev = (max(1, round(t0 / h)), x0 - h * v0) if accelerated else (1, x0)
+        start = SolverState(x=x_prev, x_prev=x_prev, x_hat=x_prev, c=c, k=k0 - 1)
+        state = _advance(start, x0, cfg, c=c, last_half=None, estimate=x0, residual=math.nan)
+        starts.append((cfg, state, k0 * h if accelerated else 0.0))
+    return flow, v0, starts
+
+
 def local_error_order(
     method: str,
     problem: Problem,
@@ -251,23 +275,10 @@ def local_error_order(
         if len(kept) >= 3:
             h_values = kept
 
-    # Deterministic, generic velocity; avoid anything proportional to
-    # grad F(x0), which could cancel the leading error term.
-    v0 = np.cos(1.0 + np.arange(x0.size)).reshape(x0.shape) if accelerated else None
-    c = -problem.g.grad(x0)     # the matched balance coefficient
-    flow = AcceleratedFlow(problem, schedule) if accelerated else GradientFlow(problem)
-
-    # every step's config first, so a bad one (say r2*h > 1) fails before any RK work
-    cfgs = [StepConfig(lam=h * h, schedule=schedule) if accelerated else StepConfig(lam=h)
-            for h in h_values]
+    flow, v0, starts = _matched_starts(problem, schedule, x0, h_values, t0)
     errors = []
-    for h, cfg in zip(h_values, cfgs):
-        # the matched state: the solver's own transition from x_{k0-1} to x0
-        k0, x_prev = (max(1, round(t0 / h)), x0 - h * v0) if accelerated else (1, x0)
-        start = SolverState(x=x_prev, x_prev=x_prev, x_hat=x_prev, c=c, k=k0 - 1)
-        state = _advance(start, x0, cfg, c=c, last_half=None, estimate=x0, residual=math.nan)
+    for h, (cfg, state, t_start) in zip(h_values, starts):
         new = step_fn(state, problem, cfg)
-        t_start = k0 * h if accelerated else 0.0
         ref = reference_trajectory(flow, x0, v0, t0=t_start, T=t_start + h, steps=RK_SUBSTEPS)
         errors.append(norm(new.x - ref.xs[-1]))
         if not 0 < errors[-1] < math.inf:

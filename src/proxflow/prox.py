@@ -251,6 +251,8 @@ class Quadratic:
         return float(np.max(np.linalg.eigvalsh(self.P)))
 
     def prox(self, v: Element, lam: float) -> Element:
+        if v.shape != self.q.shape:
+            raise ParameterError(f"v has shape {v.shape}, expected {self.q.shape}")
         inverse, shift = self._factor(lam)
         return inverse @ (v + shift)
 

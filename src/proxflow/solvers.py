@@ -366,30 +366,21 @@ def run(
             return problem.value(state.estimate)
     state = initial_state(x0)
 
-    values = [measure(state)]
-    residuals = [math.nan]
+    rows = [(measure(state), math.nan, 0.0)]
     start = time.perf_counter()
-    times = [0.0]
     status = MAX_ITERS
 
     for _ in range(max_iters):
         state = step(state, problem, cfg)
         value = measure(state)
-        values.append(value)
-        residuals.append(state.residual)
-        times.append(time.perf_counter() - start)
-        xnorm = space.norm(state.x)
-        if not math.isfinite(xnorm) or xnorm > DIVERGENCE_NORM:
+        rows.append((value, state.residual, time.perf_counter() - start))
+        if not space.norm(state.x) <= DIVERGENCE_NORM:     # a NaN norm fails it too
             status = DIVERGED
             break
         if stop is not None and stop(state, value):
             status = CONVERGED
             break
 
-    trace = Trace(
-        objectives=np.asarray(values, dtype=np.float64),
-        residuals=np.asarray(residuals, dtype=np.float64),
-        times=np.asarray(times, dtype=np.float64),
-        status=status,
-    )
-    return state, trace
+    # one array per column: a caller keeping one series keeps no other
+    objectives, residuals, times = (np.array(column, dtype=np.float64) for column in zip(*rows))
+    return state, Trace(objectives, residuals, times, status)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import quadratic_problem, quadratic_triple
 from proxflow import odelab, prox
+from proxflow.cli import _quad_problem_for
 from proxflow.damping import ConstantDamping, DecayingDamping, NoDamping, extrapolate, gamma
 from proxflow.errors import NumericalError, ParameterError, ShapeMismatchError
 from proxflow.odelab import (
@@ -17,7 +18,7 @@ from proxflow.odelab import (
     rate_cases,
     reference_trajectory,
 )
-from proxflow.solvers import Problem, SolverState, StepConfig, check_method
+from proxflow.solvers import METHODS, Problem, SolverState, StepConfig, check_method
 from proxflow.space import norm
 
 
@@ -425,6 +426,42 @@ def test_local_error_order_refuses_a_term_without_gradient_before_any_rk_work(mo
         local_error_order("dy", Problem(f=prox.L1(1.0), g=g, w=w), NoDamping(), H_GRID,
                           x0=np.zeros(3))
     assert not work
+
+
+# Global error after N = 1/h steps over a horizon of length 1: O(h) for a
+# first-order integrator, so a log-log slope near 1 (the one-step error
+# that order-check fits is O(h^2)).  Band and r^2 floor fixed before any run.
+GLOBAL_H_GRID = (1 / 20, 1 / 40, 1 / 80, 1 / 160, 1 / 320)
+GLOBAL_SLOPE_BAND = (0.9, 1.1)
+GLOBAL_REFERENCE_STEPS = 1280
+
+
+def test_global_error_order_of_every_method_and_damping():
+    x0 = np.array([1.0, -1.0])
+    schedules = {"none": NoDamping(), "decaying": DecayingDamping(3.0),
+                 "constant": ConstantDamping(1.0)}
+    fits = {}
+    for method in METHODS:
+        problem = _quad_problem_for(method)
+        step = check_method(method, problem)
+        for name, schedule in schedules.items():
+            # local_error_order's matched start; the accelerated flows start
+            # at t0 = k0*h = 1 on this grid, as local_error_order aligns them
+            flow, v0, starts = odelab._matched_starts(problem, schedule, x0, GLOBAL_H_GRID,
+                                                      t0=1.0)
+            t0 = starts[0][2]
+            x_end = reference_trajectory(flow, x0, v0, t0=t0, T=t0 + 1.0,
+                                         steps=GLOBAL_REFERENCE_STEPS).xs[-1]
+            errors = []
+            for h, (cfg, state, _) in zip(GLOBAL_H_GRID, starts):
+                for _ in range(round(1.0 / h)):
+                    state = step(state, problem, cfg)
+                errors.append(norm(state.x - x_end))
+            fits[method, name] = odelab._line_fit(np.log10(GLOBAL_H_GRID), np.log10(errors))
+    lo, hi = GLOBAL_SLOPE_BAND
+    outside = {pair: fit for pair, fit in fits.items()
+               if not (lo <= fit[0] <= hi and fit[2] >= 0.99)}
+    assert len(fits) == 15 and not outside, outside
 
 
 def test_slope_band_matches_the_benchmark_copy(benchmark_workloads):

@@ -152,6 +152,17 @@ def test_prox_least_squares_dimension_mismatch(rng):
         ls.prox(np.ones(3), 1.0)
 
 
+def test_prox_quadratic_dimension_mismatch():
+    # (I + lam*P)^{-1} @ (v - lam*q) would broadcast a length-1 v to
+    # (0.5, 0.625) here; the shape is checked before any factor is built
+    quad = prox.Quadratic(np.diag([1.0, 2.0]), np.array([0.5, -0.5]))
+    for v in (np.array([1.0]), np.ones(3), np.ones((2, 2))):
+        message = re.escape(f"v has shape {v.shape}, expected (2,)")
+        with pytest.raises(ParameterError, match="^" + message):
+            quad.prox(v, 0.5)
+    assert quad._factor.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("shape", [(50, 250), (250, 50), (60, 60)],
                          ids=["wide", "tall", "square"])
 @pytest.mark.parametrize("lam", [1e-3, 0.1, 10.0, 1e3])

@@ -337,6 +337,9 @@ def test_run_trace_shapes_and_initial_row():
     assert trace.iterations == 11
     assert trace.ks.dtype == np.int64
     np.testing.assert_array_equal(trace.ks, np.arange(12))
+    # each series owns its memory, so keeping one keeps no other alive
+    series = (trace.objectives, trace.residuals, trace.times)
+    assert all(s.base is None and s.dtype == np.float64 for s in series)
 
 
 def test_run_converges_to_reference_on_lasso():
