@@ -16,22 +16,17 @@ that is not an integer or is negative (solve --seed included), a
 --max-iters below 1 (solve's included), an unknown variant or an alias
 such as fb-none for fb, a variant or seed listed twice, an order-check
 grid of fewer than 3 --points or an --h-min to --h-max range under 1.5
-decades, --desk together with --paper-scale, or a config key listed
-twice, refused before any work; also an unreadable config file or an
-unwritable output path), 2 not converged (or slope or rate fit outside
-its band / partial suite failure), 3 diverged, an order fit that failed
-(a kept h with r2*h > 1, an h too small for its prox parameter, or a
-one-step error that is not finite and > 0), or NumericalError (a
-factorization or decomposition failed, a reference trajectory left
-float range, or a lasso reference solution missed its tolerance).
+decades, or --desk together with --paper-scale, refused before any
+work; also an unwritable output path), 2 not converged (or slope or rate
+fit outside its band / partial suite failure), 3 diverged, an order fit
+that failed (a kept h with r2*h > 1, an h too small for its prox
+parameter, or a one-step error that is not finite and > 0), or
+NumericalError (a factorization or decomposition failed, a reference
+trajectory left float range, or a lasso reference solution missed its
+tolerance).
 Output CSVs land in --outdir (default: $PROXFLOW_OUTDIR or the working
 directory); reruns with identical flags and seeds overwrite them with
 identical content, wall-clock columns aside.
-
-Experiment flags can also be read from a plain-text config file
-(``key = value`` per line, ``#`` comments, UTF-8); unknown keys and a
-key listed twice are rejected.  Explicit command-line flags override
-config values.
 """
 
 from __future__ import annotations
@@ -171,8 +166,7 @@ def _suite_config(cfg, args):
     asks, with each field that has a flag set to the flag's value where one
     was given."""
     if args.desk and args.paper_scale:
-        raise ParameterError("--desk and --paper-scale (or paper_scale = yes in a config "
-                             "file) ask for different scales; give one")
+        raise ParameterError("--desk and --paper-scale ask for different scales; give one")
     if args.paper_scale:
         cfg = cfg.paper_scale()
     return replace(cfg, **{f.name: getattr(args, f.name) for f in fields(cfg)
@@ -213,7 +207,7 @@ def cmd_matcomp(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# config files and argument wiring
+# argument wiring
 
 
 def _listed(value: str, what: str = "variant") -> tuple[str, ...]:
@@ -235,59 +229,17 @@ def _seeds(value: str) -> tuple[int, ...]:
     return tuple(seeds)
 
 
-def _yes(value: str) -> bool:
-    if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValueError("expected one of 1/true/yes/0/false/no")
-    return value.lower() in ("1", "true", "yes")
-
-
-# The suite flags, in parser order: name -> (how a config file's value is
-# read, or None when a config file cannot set it; argparse keywords).  Both
-# suite parsers and the config loader read this table; "anneal" is matcomp's.
+# The suite flags, in parser order: name -> argparse keywords.  Both suite
+# parsers read this table; "anneal" is matcomp's.
 _SUITE_FLAGS = {
-    "desk": (None, dict(action="store_true", help="desk scale (default)")),
-    "paper_scale": (_yes, dict(action="store_true", help="full-size study (slow)")),
-    "anneal": (_yes, dict(action="store_true", help="annealed weight schedule")),
-    "seeds": (_seeds, dict(type=_seeds, default=None, help="comma-separated seed list")),
-    "variants": (_listed, dict(type=_listed, default=None,
-                               help="comma-separated variant subset")),
-    "max_iters": (int, dict(type=int, default=None)),
-    "config": (None, dict(default=None)),
-    "outdir": (str, dict(default=None)),
+    "desk": dict(action="store_true", help="desk scale (default)"),
+    "paper_scale": dict(action="store_true", help="full-size study (slow)"),
+    "anneal": dict(action="store_true", help="annealed weight schedule"),
+    "seeds": dict(type=_seeds, default=None, help="comma-separated seed list"),
+    "variants": dict(type=_listed, default=None, help="comma-separated variant subset"),
+    "max_iters": dict(type=int, default=None),
+    "outdir": dict(default=None),
 }
-
-
-def _suite_flags(command: str) -> dict:
-    return {k: v for k, v in _SUITE_FLAGS.items() if k != "anneal" or command == "matcomp"}
-
-
-def _apply_config(args) -> None:
-    """Read a ``key = value`` config file ('#' starts a comment) into ``args``."""
-    readers = {k: read for k, (read, _) in _suite_flags(args.command).items() if read}
-    data: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(args.config).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParameterError(f"{args.config}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in data:
-            raise ParameterError(f"{args.config}:{lineno}: {key} is listed twice")
-        data[key] = value
-    unknown = set(data) - set(readers)
-    if unknown:
-        raise ParameterError(
-            f"unknown config keys for {args.command}: {sorted(unknown)}; "
-            f"allowed: {sorted(readers)}")
-    for key, value in data.items():
-        try:
-            parsed = readers[key](value)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ParameterError(f"{args.config}: bad {key} = {value!r}: {exc}") from None
-        given = getattr(args, key)
-        if given is None or given is False:     # explicit flags win, 0 included
-            setattr(args, key, parsed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,8 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
             ("lasso", "the twelve-variant regression suite", cmd_lasso),
             ("matcomp", "the matrix completion suite", cmd_matcomp)):
         p = sub.add_parser(command, help=help_text)
-        for key, (_, kwargs) in _suite_flags(command).items():
-            p.add_argument("--" + key.replace("_", "-"), **kwargs)
+        for key, kwargs in _SUITE_FLAGS.items():
+            if key != "anneal" or command == "matcomp":
+                p.add_argument("--" + key.replace("_", "-"), **kwargs)
         p.set_defaults(func=func)
 
     return parser
@@ -342,8 +295,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None) is not None:
-            _apply_config(args)
         args.outdir = Path(os.environ.get("PROXFLOW_OUTDIR", ".") if args.outdir is None
                            else args.outdir)
         args.outdir.mkdir(parents=True, exist_ok=True)     # fail before any solver work

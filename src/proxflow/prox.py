@@ -72,6 +72,13 @@ def gram_spectral_norm(A: Element) -> float:
     return float(np.linalg.eigvalsh(A @ A.T)[-1])
 
 
+def _check_shape(x: Element, shape: tuple, name: str = "v") -> None:
+    """Refuse a point whose shape is not ``shape``, which numpy would
+    otherwise broadcast against the oracle's data without a word."""
+    if np.shape(x) != shape:
+        raise ParameterError(f"{name} has shape {np.shape(x)}, expected {shape}")
+
+
 # ---------------------------------------------------------------------------
 # regularized inverse
 
@@ -162,6 +169,8 @@ class Nuclear:
         return self.weight * float(np.sum(np.linalg.svd(x, compute_uv=False)))
 
     def prox(self, v: Element, lam: float) -> Element:
+        if np.ndim(v) != 2:
+            raise ParameterError(f"v has shape {np.shape(v)}, expected a matrix (2-D)")
         tau = require(lam, "prox parameter") * self.weight
         try:
             u, s, vt = np.linalg.svd(v, full_matrices=False)
@@ -206,14 +215,14 @@ class LeastSquares:
         return 0.5 * float(r @ r)
 
     def grad(self, x: Element) -> Element:
+        _check_shape(x, self.A.shape[1:], "x")
         return self.A.T @ (self.A @ x - self.b)
 
     def lipschitz(self) -> float:
         return gram_spectral_norm(self.A)
 
     def prox(self, v: Element, lam: float) -> Element:
-        if v.shape[0] != self.A.shape[1]:
-            raise ParameterError(f"v has shape {v.shape}, expected ({self.A.shape[1]},)")
+        _check_shape(v, self.A.shape[1:])
         inverse, shift = self._factor(lam)
         # the inverse maps lam*(A v - b) to lam*w
         return v - self.A.T @ (inverse @ (lam * (self.A @ v) + shift))
@@ -251,8 +260,7 @@ class Quadratic:
         return float(np.max(np.linalg.eigvalsh(self.P)))
 
     def prox(self, v: Element, lam: float) -> Element:
-        if v.shape != self.q.shape:
-            raise ParameterError(f"v has shape {v.shape}, expected {self.q.shape}")
+        _check_shape(v, self.q.shape)
         inverse, shift = self._factor(lam)
         return inverse @ (v + shift)
 
@@ -303,10 +311,12 @@ class MaskedQuadratic:
             raise ParameterError("target must be zero outside the mask")
 
     def value(self, x: Element) -> float:
+        _check_shape(x, self.target.shape, "x")
         r = np.where(self.mask, x, 0.0) - self.target
         return 0.5 * float(np.vdot(r, r))
 
     def grad(self, x: Element) -> Element:
+        _check_shape(x, self.mask.shape, "x")
         return np.where(self.mask, x, 0.0) - self.target
 
     def lipschitz(self) -> float:

@@ -364,39 +364,6 @@ def test_report_writes_stages_exactly_when_the_records_carry_them(tmp_path, caps
     assert not (tmp_path / "plain-stages.csv").exists()
 
 
-def test_config_file_applies_and_flags_override(tmp_path):
-    cfg = tmp_path / "suite.cfg"
-    cfg.write_text("# smoke config\nseeds = 1\nvariants = fb\n")
-    outdir = tmp_path / "out"
-    code = cli.main(["lasso", "--config", str(cfg), "--variants", "fb-constant",
-                     "--outdir", str(outdir)])
-    assert code == 0
-    assert (outdir / "lasso-fb-constant-seed1.csv").exists()       # flag wins
-    assert not (outdir / "lasso-fb-seed1.csv").exists()
-
-
-def test_an_explicit_flag_overrides_the_config_whatever_its_value(tmp_path, capsys):
-    # --max-iters 0 is given, so the config's 5 is not read: 0 is refused
-    # before any work, with or without the config
-    cfg = tmp_path / "suite.cfg"
-    cfg.write_text("max_iters = 5\n")
-    argv = ["lasso", "--max-iters", "0", "--seeds", "1", "--variants", "fb",
-            "--outdir", str(tmp_path)]
-    for extra in ([], ["--config", str(cfg)]):
-        assert cli.main(argv + extra) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err == "proxflow: error: max_iters must be finite and >= 1, got 0\n"
-    assert not list(tmp_path.glob("*.csv"))
-
-
-def test_config_file_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("seeds = 1\nwibble = 2\n")
-    code = cli.main(["lasso", "--config", str(cfg)])
-    assert code == 1
-    assert "wibble" in capsys.readouterr().err
-
-
 def test_outdir_env_var_default(tmp_path, monkeypatch):
     monkeypatch.setenv("PROXFLOW_OUTDIR", str(tmp_path))
     code = cli.main(["order-check", "--method", "fb", "--damping", "none"])
@@ -414,16 +381,12 @@ def test_rerun_overwrites_identically(tmp_path):
     assert first == second
 
 
-@pytest.mark.parametrize("case", ["missing-config", "config-is-directory", "outdir-under-file"])
+@pytest.mark.parametrize("case", ["outdir-under-file"])
 def test_unreadable_config_or_unwritable_outdir_exits_one(tmp_path, capsys, case):
     blocker = tmp_path / "plain-file"
     blocker.write_text("")
-    extra = {
-        "missing-config": ["--config", str(tmp_path / "missing.cfg")],
-        "config-is-directory": ["--config", str(tmp_path)],
-        "outdir-under-file": ["--outdir", str(blocker / "out")],
-    }[case]
-    code = cli.main(["lasso", "--seeds", "1", "--variants", "fb", *extra])
+    code = cli.main(["lasso", "--seeds", "1", "--variants", "fb",
+                     "--outdir", str(blocker / "out")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("proxflow: error: ") and err.count("\n") == 1
@@ -449,21 +412,6 @@ def test_matcomp_single_mode_reports_through_the_suite_writer(tmp_path, capsys):
     assert "fb seed=1: iters=" in out and "rank=" not in out
 
 
-def test_config_values_are_typed_by_the_flag_table(tmp_path, capsys):
-    cfg = tmp_path / "suite.cfg"
-    cfg.write_text("seeds = 1\nvariants = fb\nmax_iters = 7\n")
-    assert cli.main(["lasso", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
-    assert "fb seed=1: iters=7 status=max-iters" in capsys.readouterr().out
-
-    cfg.write_text("seeds = 0\nvariants = dy\nmax_iters = 20\nanneal = yes\n")
-    assert cli.main(["matcomp", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
-    _, _, rows = read_csv(tmp_path / "matcomp-anneal-stages.csv")
-    assert len(rows) > 1 and max(int(r[4]) for r in rows) == 20
-
-    assert cli.main(["lasso", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
-    assert "unknown config keys for lasso: ['anneal']" in capsys.readouterr().err
-
-
 def test_unwritable_outdir_fails_before_any_solver_work(tmp_path, monkeypatch, capsys):
     from proxflow import experiments
 
@@ -479,80 +427,42 @@ def test_unwritable_outdir_fails_before_any_solver_work(tmp_path, monkeypatch, c
     assert err.startswith("proxflow: error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("line,key", [
-    ("anneal = on", "anneal"),
-    ("paper_scale = maybe", "paper_scale"),
-    ("max_iters = ten", "max_iters"),
-    ("seeds = 0,one", "seeds"),
-])
-def test_config_bad_value_names_key_and_file(tmp_path, capsys, line, key):
-    cfg = tmp_path / "suite.cfg"
-    cfg.write_text(f"variants = dy\n{line}\n")
-    code = cli.main(["matcomp", "--config", str(cfg), "--outdir", str(tmp_path)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"proxflow: error: {cfg}: bad {key} = ")
-    assert not list(tmp_path.glob("*.csv"))
-
-
 def test_empty_seed_list_gives_its_reason_from_flag_and_config(tmp_path, capsys):
-    cfg = tmp_path / "suite.cfg"
     for seeds, reason in ((",", "seeds must list at least one seed"),
                           ("0,one", "seed 'one' is not an integer")):
-        cfg.write_text(f"seeds = {seeds}\n")
-        for argv in (["lasso", "--seeds", seeds], ["lasso", "--config", str(cfg)]):
-            assert cli.main(argv + ["--outdir", str(tmp_path)]) == 1
-            assert reason in capsys.readouterr().err
+        assert cli.main(["lasso", "--seeds", seeds, "--outdir", str(tmp_path)]) == 1
+        assert reason in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
 def test_variants_and_seeds_read_one_comma_list_from_flag_and_config(tmp_path, capsys):
-    # each entry is stripped, in both lists and on both paths
-    cfg = tmp_path / "suite.cfg"
-    cfg.write_text("variants = fb, fb-constant\nseeds = 1, 3\nmax_iters = 5\n")
-    for argv in (["lasso", "--variants", "fb, fb-constant", "--seeds", "1, 3",
-                  "--max-iters", "5"], ["lasso", "--config", str(cfg)]):
-        assert cli.main(argv + ["--outdir", str(tmp_path)]) == 2
-        out = capsys.readouterr().out
-        assert out.count("iters=5 status=max-iters") == 4
-        for variant in ("fb", "fb-constant"):
-            for seed in (1, 3):
-                assert f"{variant} seed={seed}: " in out
-    for value in (",", ""):
-        cfg.write_text(f"variants = {value}\n")
-        assert cli.main(["lasso", "--config", str(cfg), "--outdir", str(tmp_path / "x")]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and "variants must list at least one variant" in err
-    assert not (tmp_path / "x").exists()
+    # each entry is stripped, in both lists
+    assert cli.main(["lasso", "--variants", "fb, fb-constant", "--seeds", "1, 3",
+                     "--max-iters", "5", "--outdir", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert out.count("iters=5 status=max-iters") == 4
+    for variant in ("fb", "fb-constant"):
+        for seed in (1, 3):
+            assert f"{variant} seed={seed}: " in out
+
+
+def test_suite_max_iters_below_one_exits_one_before_any_work(tmp_path, capsys):
+    assert cli.main(["lasso", "--max-iters", "0", "--seeds", "1", "--variants", "fb",
+                     "--outdir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "proxflow: error: max_iters must be finite and >= 1, got 0\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_repeated_variant_or_seed_exits_one_from_flag_and_config(tmp_path, capsys):
-    cfg = tmp_path / "suite.cfg"
     for command, key, value, reason in (
             ("lasso", "seeds", "1,1", "seed 1 is listed twice"),
             ("lasso", "variants", "fb,fb", "variant 'fb' is listed twice"),
             ("matcomp", "variants", "dy-none", "unknown variant 'dy-none'")):
-        cfg.write_text(f"{key} = {value}\n")
-        for argv in ([command, "--" + key, value], [command, "--config", str(cfg)]):
-            assert cli.main(argv + ["--outdir", str(tmp_path)]) == 1
-            out, err = capsys.readouterr()
-            assert out == "" and err.startswith(f"proxflow: error: {reason}")
+        assert cli.main([command, "--" + key, value, "--outdir", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"proxflow: error: {reason}")
     assert not list(tmp_path.glob("*.csv"))
-
-
-def test_config_key_listed_twice_exits_one_before_any_work(tmp_path, monkeypatch, capsys):
-    # the first seeds line is bad and the variant unknown: the repeat is
-    # refused before either value is read
-    from proxflow import experiments
-
-    work = []
-    monkeypatch.setattr(experiments, "run_lasso_suite", lambda cfg: work.append(cfg))
-    cfg = tmp_path / "suite.cfg"
-    cfg.write_text("seeds = ,\n# a comment\nseeds = 1\nvariants = nope\n")
-    assert cli.main(["lasso", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
-    out, err = capsys.readouterr()
-    assert not work and out == ""
-    assert err == f"proxflow: error: {cfg}:3: seeds is listed twice\n"
 
 
 @pytest.mark.parametrize("command", ["lasso", "matcomp"])
@@ -563,21 +473,23 @@ def test_desk_with_paper_scale_exits_one_before_any_work(tmp_path, monkeypatch, 
     work = []
     for attr in ("run_lasso_suite", "run_matcomp_suite"):
         monkeypatch.setattr(experiments, attr, lambda *args, **kw: work.append(args))
-    cfg = tmp_path / "suite.cfg"
-    cfg.write_text("paper_scale = yes\n")
-    for argv in ([command, "--desk", "--paper-scale"], [command, "--desk", "--config", str(cfg)]):
-        assert cli.main(argv + ["--outdir", str(tmp_path / "out")]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and "--desk and --paper-scale" in err
+    argv = [command, "--desk", "--paper-scale", "--outdir", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("proxflow: error: --desk and --paper-scale ask for "
+                                 "different scales; give one\n")
     assert not work and not list((tmp_path / "out").iterdir())
 
 
-def test_config_booleans_accept_no(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["lasso", "matcomp"])
+def test_suites_take_no_config_file(tmp_path, capsys, command):
     cfg = tmp_path / "suite.cfg"
-    cfg.write_text("seeds = 0\nvariants = dy\nmax_iters = 5\nanneal = no\npaper_scale = 0\n")
-    assert cli.main(["matcomp", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
-    assert (tmp_path / "matcomp-single-aggregate.csv").exists()
-    assert not list(tmp_path.glob("*stages*"))
+    cfg.write_text("seeds = 1\n")
+    outdir = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--outdir", str(outdir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --config" in err
+    assert not outdir.exists()
 
 
 SRC = str(Path(cli.__file__).resolve().parents[1])

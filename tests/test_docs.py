@@ -1,10 +1,12 @@
-"""The README's library example, CSV schema and run-status tables, and the line counter."""
+"""The README's library example, CSV schema, run-status and suite-flag tables, and the
+line counter."""
 
+import argparse
 import importlib.util
 import re
 from pathlib import Path
 
-from proxflow import csvio
+from proxflow import cli, csvio
 from proxflow.solvers import STATUSES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,6 +31,17 @@ def test_readme_schema_table_matches_csvio():
 def test_readme_status_table_matches_solvers():
     rows = re.findall(r"^\| `([a-z-]+)` \| `(\d+)` \|$", README, re.M)
     assert [(name, int(code)) for name, code in rows] == list(STATUSES.items())
+
+
+def test_readme_suite_flag_table_matches_the_parser():
+    rows = re.findall(r"^\| `(--[a-z-]+)` \| (yes|no) \| (yes|no) \|$", README, re.M)
+    subparsers = next(action.choices for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for column, command in enumerate(("lasso", "matcomp"), 1):
+        documented = [row[0] for row in rows if row[column] == "yes"]
+        flags = [option for action in subparsers[command]._actions
+                 for option in action.option_strings if option not in ("-h", "--help")]
+        assert documented == flags, command
 
 
 def _count_lines():

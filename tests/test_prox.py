@@ -163,6 +163,29 @@ def test_prox_quadratic_dimension_mismatch():
     assert quad._factor.cache_info().currsize == 0
 
 
+_LS = prox.LeastSquares(np.arange(15.0).reshape(3, 5), np.ones(3))
+_MASKED = prox.MaskedQuadratic(np.ones((2, 2), bool), np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("call,found,expected", [
+    # numpy would return a (5, 3) array for both
+    (lambda: _LS.prox(np.zeros((5, 1)), 0.5), "v has shape (5, 1)", "(5,)"),
+    (lambda: _LS.grad(np.zeros((5, 1))), "x has shape (5, 1)", "(5,)"),
+    # numpy would broadcast the row against both rows of the mask
+    (lambda: _MASKED.grad(np.zeros((1, 2))), "x has shape (1, 2)", "(2, 2)"),
+    (lambda: _MASKED.value(np.zeros((1, 2))), "x has shape (1, 2)", "(2, 2)"),
+    # numpy's SVD would fail on the vector and batch the stack
+    (lambda: prox.Nuclear(1.0).prox(np.ones(4), 0.5), "v has shape (4,)", "a matrix (2-D)"),
+    (lambda: prox.Nuclear(1.0).prox(np.ones((2, 2, 2)), 0.5), "v has shape (2, 2, 2)",
+     "a matrix (2-D)"),
+], ids=["least-squares-prox", "least-squares-grad", "masked-grad", "masked-value",
+        "nuclear-vector", "nuclear-stack"])
+def test_oracles_refuse_a_point_of_the_wrong_shape(call, found, expected):
+    with pytest.raises(ParameterError, match=re.escape(f"{found}, expected {expected}")):
+        call()
+    assert _LS._factor.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("shape", [(50, 250), (250, 50), (60, 60)],
                          ids=["wide", "tall", "square"])
 @pytest.mark.parametrize("lam", [1e-3, 0.1, 10.0, 1e3])

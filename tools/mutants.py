@@ -100,6 +100,26 @@ MUTANTS = (
     Mutant("box-upper-bound", _PROX, "np.clip(v, self.lo, self.hi)",
            "np.clip(v, self.lo, np.inf)"),
     Mutant("huber-outer-branch", _PROX, "outer = v - tau * np.sign(v)", "outer = v - tau"),
+    Mutant("nuclear-shrink-unclamped", _PROX, "(u * np.maximum(s - tau, 0.0)) @ vt",
+           "(u * (s - tau)) @ vt"),
+    Mutant("least-squares-prox-drops-lam", _PROX, "(inverse @ (lam * (self.A @ v) + shift))",
+           "(inverse @ ((self.A @ v) + shift))"),
+    Mutant("quadratic-prox-drops-shift", _PROX, "return inverse @ (v + shift)",
+           "return inverse @ v"),
+    Mutant("masked-grad-ignores-mask", _PROX,
+           "return np.where(self.mask, x, 0.0) - self.target", "return x - self.target"),
+    Mutant("box-lower-bound", _PROX, "np.clip(v, self.lo, self.hi)",
+           "np.clip(v, -np.inf, self.hi)"),
+    # the oracles' shape checks, one each
+    Mutant("least-squares-prox-shape-unchecked", _PROX, "_check_shape(v, self.A.shape[1:])",
+           "pass"),
+    Mutant("least-squares-grad-shape-unchecked", _PROX,
+           '_check_shape(x, self.A.shape[1:], "x")', "pass"),
+    Mutant("masked-value-shape-unchecked", _PROX, '_check_shape(x, self.target.shape, "x")',
+           "pass"),
+    Mutant("masked-grad-shape-unchecked", _PROX, '_check_shape(x, self.mask.shape, "x")',
+           "pass"),
+    Mutant("nuclear-prox-shape-unchecked", _PROX, "if np.ndim(v) != 2:", "if False:"),
     # the ODE lab
     Mutant("rk4-weights", _ODELAB, "x = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)",
            "x = x + dt / 6 * (2 * k1x + k2x + 2 * k3x + k4x)"),
