@@ -29,8 +29,10 @@ from __future__ import annotations
 
 from typing import Union
 
+import numpy as np
+
 from .errors import ParameterError, Value, require
-from .space import Element, check_same_shape
+from .space import Element, check_shape
 
 
 class NoDamping(Value):
@@ -115,7 +117,7 @@ def gamma(schedule: Schedule, k: int, h: float) -> float:
 
 def extrapolate(x: Element, x_prev: Element, g: float) -> Element:
     """Return ``x + g*(x - x_prev)``; returns ``x`` itself when ``g == 0``."""
-    check_same_shape(x, x_prev)
+    check_shape(x_prev, np.shape(x), "x_prev")
     if g == 0.0:
         return x
     return x + g * (x - x_prev)

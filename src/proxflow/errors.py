@@ -1,6 +1,10 @@
 """Exception types shared across the toolkit, the admissibility rule of its
 numeric parameters, and the one rule of its run-loop values.
 
+A bad point is a bad parameter: ``space.as_element`` refuses a
+non-finite entry with :class:`ParameterError`, and ``space.check_shape``
+a wrong shape with its subclass :class:`ShapeMismatchError`.
+
 The run-loop values derive from :class:`Frozen` (immutable, printed as
 ``Name(field=value, ...)``, compared by identity) and, where they are
 parameters rather than records of a run, from :class:`Value`, which
@@ -9,10 +13,6 @@ compares and hashes them by field: ``NoDamping``, ``Damping`` and
 records; the mutable ``Trace`` borrows only the repr."""
 
 import math
-
-
-class ShapeMismatchError(ValueError):
-    """Two points with different shapes were combined arithmetically."""
 
 
 class ParameterError(ValueError):
@@ -24,6 +24,11 @@ class ParameterError(ValueError):
     ``<name> must be finite and > <bound>, got <value>``, so a bad value is
     refused before any work is done with it.
     """
+
+
+class ShapeMismatchError(ParameterError):
+    """A point does not have the shape its use needs, which numpy would
+    otherwise broadcast without a word."""
 
 
 def require(value, name: str, minimum: float = 0.0, *, strict: bool = True):

@@ -6,10 +6,16 @@ step (Hairer, Nørsett & Wanner, Solving Ordinary Differential Equations I):
     xdot = -grad F(x)                        (descent flow)
     xddot + eta(t)*xdot = -grad F(x)         (damped inertial flow)
 
-and uses them as oracles to measure, for each solver step, the one-step
-deviation from the true trajectory as a function of the step scale h.
-A first-order method shows a log-log slope of about 2 (local error
-O(h^2)); the RK4 oracle's own error is O(substep^4) and therefore
+Both are one type, :class:`Flow`, whose damping schedule picks its
+order: ``NoDamping()`` gives the descent flow, an accelerated schedule
+the damped inertial flow with that schedule's ``eta``, the same choice
+that makes a solver step plain or accelerated.  A flow's start is
+checked by ``space.as_element`` and ``space.check_shape``.
+
+The lab uses the flows as oracles to measure, for each solver step, the
+one-step deviation from the true trajectory as a function of the step
+scale h.  A first-order method shows a log-log slope of about 2 (local
+error O(h^2)); the RK4 oracle's own error is O(substep^4) and therefore
 negligible on the grids used here.  The RK4 loop is written once, as a
 generator of states (:func:`_rk4`, which also states when a state steps
 on Python floats): reference_trajectory stores them, while
@@ -41,40 +47,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prox
-from .damping import ConstantDamping, DecayingDamping, Schedule
+from .damping import ConstantDamping, DecayingDamping, NoDamping, Schedule
 from .errors import NumericalError, ParameterError, require
 from .solvers import Problem, SolverState, StepConfig, _advance, check_method
-from .space import Element, as_element, check_same_shape, norm
+from .space import Element, as_element, check_shape, norm
 
 RK_SUBSTEPS = 64        # RK4 steps of the reference flow over one solver step
 
 
 @dataclass(frozen=True)
-class GradientFlow:
-    """Descent flow xdot = -grad F(x) for any oracle with ``grad``, a
-    :class:`Problem` included."""
+class Flow:
+    """The flow of F for any oracle with ``grad``, a :class:`Problem`
+    included: the descent flow xdot = -grad F(x) under ``NoDamping()``,
+    the damped inertial flow xddot + eta(t)*xdot = -grad F(x) under an
+    accelerated schedule."""
 
-    second_order = False
     grad: object
-
-
-@dataclass(frozen=True)
-class AcceleratedFlow:
-    """Damped inertial flow xddot + eta(t)*xdot = -grad F(x)."""
-
-    second_order = True
-    grad: object
-    schedule: Schedule
+    schedule: Schedule = NoDamping()
 
     def eta(self, t: float) -> float:
         return self.schedule.eta(t)
+
+
+# other names of Flow, for callers that name the flow they build
+GradientFlow = AcceleratedFlow = Flow
 
 
 @dataclass(eq=False)
 class Trajectory:
     ts: np.ndarray
     xs: np.ndarray                 # (steps+1,) + shape of x0
-    vs: np.ndarray | None = None   # velocities, second-order flows only
+    vs: np.ndarray | None = None   # velocities, accelerated flows only
 
 
 def _start(flow, x0, v0, t0, T, steps):
@@ -84,12 +87,11 @@ def _start(flow, x0, v0, t0, T, steps):
         raise ParameterError(f"steps must be a whole number >= 1, got {steps}")
     require(T - t0, "time span T - t0")
     x0 = as_element(x0, "x0")
-    if flow.second_order:
+    if flow.schedule.accelerated:
         if v0 is None:
             raise ParameterError("second-order flow needs an initial velocity v0")
         flow.eta(t0)    # an r/t damping raises ParameterError for t0 <= 0
-        v0 = as_element(v0, "v0")
-        check_same_shape(x0, v0)
+        v0 = check_shape(as_element(v0, "v0"), x0.shape, "v0")
     dt = (T - t0) / steps
     return t0 + dt * np.arange(steps + 1), dt, x0, v0
 
@@ -97,7 +99,7 @@ def _start(flow, x0, v0, t0, T, steps):
 def _rk4(flow, ts, dt, x0, v0):
     """Yield the state (x, v) at each time of the grid ``ts``: (x0, v0),
     then one textbook RK4 step of size dt per grid interval (v is read for
-    second-order flows only).  Raises NumericalError when the state leaves
+    accelerated flows only).  Raises NumericalError when the state leaves
     float range.
 
     A state with one entry whose gradient is a :class:`prox.FunctionOracle`
@@ -106,7 +108,7 @@ def _rk4(flow, ts, dt, x0, v0):
     yielded as arrays.  Both run the same operations in the same order, so
     they give the same bits.
     """
-    second = flow.second_order
+    second = flow.schedule.accelerated
     yield x0, v0
     if x0.size == 1 and isinstance(flow.grad, prox.FunctionOracle):
         oracle = flow.grad
@@ -154,12 +156,12 @@ def reference_trajectory(
     """Integrate a flow with the textbook RK4 step of :func:`_rk4` from t0
     to T and store every state.
 
-    ``steps`` must be a whole number >= 1.  Second-order flows need
+    ``steps`` must be a whole number >= 1.  Accelerated flows need
     ``v0``; decaying damping needs t0 > 0 (the coefficient r/t is singular
     at zero).  Raises NumericalError if the state leaves float range.
     """
     ts, dt, x0, v0 = _start(flow, x0, v0, t0, T, steps)
-    second = flow.second_order
+    second = flow.schedule.accelerated
     xs = np.empty((len(ts),) + x0.shape)
     vs = np.empty_like(xs) if second else None
     for i, (x, v) in enumerate(_rk4(flow, ts, dt, x0, v0)):
@@ -223,7 +225,7 @@ def _matched_starts(problem: Problem, schedule: Schedule, x0: Element, h_values,
     # grad F(x0), which could cancel the leading error term.
     v0 = np.cos(1.0 + np.arange(x0.size)).reshape(x0.shape) if accelerated else None
     c = -problem.g.grad(x0)     # the matched balance coefficient
-    flow = AcceleratedFlow(problem, schedule) if accelerated else GradientFlow(problem)
+    flow = Flow(problem, schedule)
     starts = []
     for h in h_values:
         cfg = StepConfig(lam=h * h, schedule=schedule) if accelerated else StepConfig(lam=h)
@@ -343,8 +345,7 @@ def continuous_rate_check(
                              f"got {window}")
     require(F_star, "F_star", -math.inf)
     ts, dt, x0, v0 = _start(flow, x0, v0, t0, T, steps)
-    x_star = as_element(x_star, "x_star")
-    check_same_shape(x0, x_star)
+    x_star = check_shape(as_element(x_star, "x_star"), x0.shape, "x_star")
     exponential = kind == "exponential"
     # Each state becomes its sample as it is produced.  A state with one
     # entry is first written to its own slot, so that the sample is taken
@@ -414,21 +415,21 @@ def rate_cases() -> dict[str, RateCase]:
     return {
         # strongly convex descent flow: distance ~ exp(-m t), m = 1, within 15%
         "gradient-flow-strongly-convex": RateCase(
-            GradientFlow(quad), 1.0, lambda pred, fit: abs(fit - pred) <= 0.15 * pred,
+            Flow(quad), 1.0, lambda pred, fit: abs(fit - pred) <= 0.15 * pred,
             dict(x_star=np.zeros(2), F_star=0.0, T=8.0, x0=np.array([1.0, 1.0]),
                  steps=4000, kind="exponential")),
         # convex (degenerate) objective under decaying damping: for r >= 3,
         # F - F* = O(t^-2) is a worst-case bound, so the check is one-sided by
         # design: a fitted exponent of -1.7 or below (this quartic fits -3.15, r^2 0.73)
         "accelerated-decaying-convex": RateCase(
-            AcceleratedFlow(quartic, DecayingDamping(3.0)), -2.0, lambda pred, fit: fit <= -1.7,
+            Flow(quartic, DecayingDamping(3.0)), -2.0, lambda pred, fit: fit <= -1.7,
             dict(x_star=np.zeros(1), F_star=0.0, T=300.0, x0=np.array([1.5]),
                  v0=np.zeros(1), t0=1.0, steps=120_000, kind="power",
                  window=(0.03, 1.0))),
         # strongly convex (m = 4) under critical constant damping: distance ~
         # exp(-sqrt(m) t), within 25%
         "accelerated-constant-strongly-convex": RateCase(
-            AcceleratedFlow(quad1, ConstantDamping(2.0 * math.sqrt(m))), math.sqrt(m),
+            Flow(quad1, ConstantDamping(2.0 * math.sqrt(m))), math.sqrt(m),
             lambda pred, fit: abs(fit - pred) <= 0.25 * pred,
             dict(x_star=np.zeros(1), F_star=0.0, T=10.0, x0=np.array([1.0]),
                  v0=np.zeros(1), steps=8000, kind="exponential")),

@@ -7,7 +7,11 @@ Oracles are duck-typed.  A prox-capable term exposes
 
 and a smooth term exposes ``value(x)``, ``grad(x)`` and (when cheap) a
 ``lipschitz()`` estimate for the gradient.  Several classes implement
-both sides and can sit in any slot of a three-term split.  Oracles are
+both sides and can sit in any slot of a three-term split.  An oracle
+whose data fixes the shape of its points refuses a point of another shape
+with ``space.check_shape`` before any arithmetic, so numpy never
+broadcasts it; the nuclear norm, which fixes no size, refuses any point
+that is not a matrix, by one rule shared by its value and prox.  Oracles are
 immutable after construction except for the per-``lam`` memo of the
 inverted system behind the least-squares and quadratic proxes, one
 ``functools.cache`` per oracle.  Concurrent calls read it coherently,
@@ -24,8 +28,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, require
-from .space import Element, as_element, check_same_shape
+from .errors import NumericalError, ParameterError, ShapeMismatchError, require
+from .space import Element, as_element, check_shape
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +74,6 @@ def gram_spectral_norm(A: Element) -> float:
     matrix.
     """
     return float(np.linalg.eigvalsh(A @ A.T)[-1])
-
-
-def _check_shape(x: Element, shape: tuple, name: str = "v") -> None:
-    """Refuse a point whose shape is not ``shape``, which numpy would
-    otherwise broadcast against the oracle's data without a word."""
-    if np.shape(x) != shape:
-        raise ParameterError(f"{name} has shape {np.shape(x)}, expected {shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +162,19 @@ class Nuclear:
     def __init__(self, weight: float):
         self.weight = float(require(weight, "nuclear weight", strict=False))
 
+    @staticmethod
+    def _check_matrix(x: Element, name: str) -> None:
+        """Refuse a point that is not a matrix: numpy's SVD would fail on a
+        vector and batch a stack."""
+        if np.ndim(x) != 2:
+            raise ShapeMismatchError(f"{name} has shape {np.shape(x)}, expected a matrix (2-D)")
+
     def value(self, x: Element) -> float:
+        self._check_matrix(x, "x")
         return self.weight * float(np.sum(np.linalg.svd(x, compute_uv=False)))
 
     def prox(self, v: Element, lam: float) -> Element:
-        if np.ndim(v) != 2:
-            raise ParameterError(f"v has shape {np.shape(v)}, expected a matrix (2-D)")
+        self._check_matrix(v, "v")
         tau = require(lam, "prox parameter") * self.weight
         try:
             u, s, vt = np.linalg.svd(v, full_matrices=False)
@@ -211,18 +215,17 @@ class LeastSquares:
                                      partial(np.matmul, self.A, self.A.T), -self.b))
 
     def value(self, x: Element) -> float:
-        r = self.A @ x - self.b
+        r = self.A @ check_shape(x, self.A.shape[1:], "x") - self.b
         return 0.5 * float(r @ r)
 
     def grad(self, x: Element) -> Element:
-        _check_shape(x, self.A.shape[1:], "x")
-        return self.A.T @ (self.A @ x - self.b)
+        return self.A.T @ (self.A @ check_shape(x, self.A.shape[1:], "x") - self.b)
 
     def lipschitz(self) -> float:
         return gram_spectral_norm(self.A)
 
     def prox(self, v: Element, lam: float) -> Element:
-        _check_shape(v, self.A.shape[1:])
+        check_shape(v, self.A.shape[1:], "v")
         inverse, shift = self._factor(lam)
         # the inverse maps lam*(A v - b) to lam*w
         return v - self.A.T @ (inverse @ (lam * (self.A @ v) + shift))
@@ -246,21 +249,21 @@ class Quadratic:
         if skew > 1e-12 * np.max(np.abs(self.P), initial=0.0):
             raise ParameterError(f"P must be symmetric, got max |P - P^T| = {skew:g}")
         self.q = np.zeros(self.P.shape[0]) if q is None else as_element(q, "q")
-        if self.q.shape != (self.P.shape[0],):
-            raise ParameterError(f"q has shape {self.q.shape}, expected ({self.P.shape[0]},)")
+        check_shape(self.q, self.P.shape[:1], "q")
         self._factor = cache(partial(_regularized_inverse, self.P.copy, -self.q))
 
     def value(self, x: Element) -> float:
-        return 0.5 * float(x @ (self.P @ x)) + float(self.q @ x)
+        px = self.P @ check_shape(x, self.q.shape, "x")
+        return 0.5 * float(x @ px) + float(self.q @ x)
 
     def grad(self, x: Element) -> Element:
-        return self.P @ x + self.q
+        return self.P @ check_shape(x, self.q.shape, "x") + self.q
 
     def lipschitz(self) -> float:
         return float(np.max(np.linalg.eigvalsh(self.P)))
 
     def prox(self, v: Element, lam: float) -> Element:
-        _check_shape(v, self.q.shape)
+        check_shape(v, self.q.shape, "v")
         inverse, shift = self._factor(lam)
         return inverse @ (v + shift)
 
@@ -306,17 +309,17 @@ class MaskedQuadratic:
     def __init__(self, mask, target):
         self.mask = np.asarray(mask, dtype=bool)
         self.target = as_element(target, "target")
-        check_same_shape(self.mask, self.target)
+        check_shape(self.target, self.mask.shape, "target")
         if np.any(self.target[~self.mask] != 0.0):
             raise ParameterError("target must be zero outside the mask")
 
     def value(self, x: Element) -> float:
-        _check_shape(x, self.target.shape, "x")
+        check_shape(x, self.target.shape, "x")
         r = np.where(self.mask, x, 0.0) - self.target
         return 0.5 * float(np.vdot(r, r))
 
     def grad(self, x: Element) -> Element:
-        _check_shape(x, self.mask.shape, "x")
+        check_shape(x, self.mask.shape, "x")
         return np.where(self.mask, x, 0.0) - self.target
 
     def lipschitz(self) -> float:

@@ -381,17 +381,6 @@ def test_rerun_overwrites_identically(tmp_path):
     assert first == second
 
 
-@pytest.mark.parametrize("case", ["outdir-under-file"])
-def test_unreadable_config_or_unwritable_outdir_exits_one(tmp_path, capsys, case):
-    blocker = tmp_path / "plain-file"
-    blocker.write_text("")
-    code = cli.main(["lasso", "--seeds", "1", "--variants", "fb",
-                     "--outdir", str(blocker / "out")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("proxflow: error: ") and err.count("\n") == 1
-
-
 def test_matcomp_single_mode_reports_through_the_suite_writer(tmp_path, capsys):
     code = cli.main(["matcomp", "--seeds", "0", "--variants", "dy,admm-constant",
                      "--outdir", str(tmp_path)])
@@ -427,7 +416,7 @@ def test_unwritable_outdir_fails_before_any_solver_work(tmp_path, monkeypatch, c
     assert err.startswith("proxflow: error: ") and err.count("\n") == 1
 
 
-def test_empty_seed_list_gives_its_reason_from_flag_and_config(tmp_path, capsys):
+def test_empty_seed_list_gives_its_reason_from_flag(tmp_path, capsys):
     for seeds, reason in ((",", "seeds must list at least one seed"),
                           ("0,one", "seed 'one' is not an integer")):
         assert cli.main(["lasso", "--seeds", seeds, "--outdir", str(tmp_path)]) == 1
@@ -435,7 +424,7 @@ def test_empty_seed_list_gives_its_reason_from_flag_and_config(tmp_path, capsys)
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_variants_and_seeds_read_one_comma_list_from_flag_and_config(tmp_path, capsys):
+def test_variants_and_seeds_read_one_comma_list_from_flag(tmp_path, capsys):
     # each entry is stripped, in both lists
     assert cli.main(["lasso", "--variants", "fb, fb-constant", "--seeds", "1, 3",
                      "--max-iters", "5", "--outdir", str(tmp_path)]) == 2
@@ -454,7 +443,7 @@ def test_suite_max_iters_below_one_exits_one_before_any_work(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_repeated_variant_or_seed_exits_one_from_flag_and_config(tmp_path, capsys):
+def test_repeated_variant_or_seed_exits_one_from_flag(tmp_path, capsys):
     for command, key, value, reason in (
             ("lasso", "seeds", "1,1", "seed 1 is listed twice"),
             ("lasso", "variants", "fb,fb", "variant 'fb' is listed twice"),

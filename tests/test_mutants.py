@@ -52,12 +52,16 @@ def test_the_suite_run_tells_a_killed_mutant_from_a_survivor(tmp_path):
     (tmp_path / "src" / "fake").mkdir(parents=True)
     (tmp_path / "src" / "fake" / "mod.py").write_text(MODULE, encoding="utf-8")
     (tmp_path / "tests").mkdir()
-    (tmp_path / "tests" / "test_mod.py").write_text(
-        "from fake.mod import answer\n\n\ndef test_answer():\n    assert answer() == 42\n",
-        encoding="utf-8")
+    for name in ("test_early.py", "test_mod.py"):     # both see the killing mutant
+        (tmp_path / "tests" / name).write_text(
+            "from fake.mod import answer\n\n\ndef test_answer():\n    assert answer() == 42\n",
+            encoding="utf-8")
     killing = mutants.Mutant("off-by-one", "src/fake/mod.py", "return 42", "return 43")
     unseen = mutants.Mutant("question", "src/fake/mod.py", "'six by nine'", "'six by seven'")
     with mutants.applied(tmp_path, killing):
-        assert mutants.run_suite(tmp_path, 60) == (True, "tests/test_mod.py::test_answer")
+        assert mutants.run_suite(tmp_path, 60) == (True, "tests/test_early.py::test_answer")
+        # the module's own test file runs first
+        assert mutants.run_suite(tmp_path, 60, "tests/test_mod.py") == (
+            True, "tests/test_mod.py::test_answer")
     with mutants.applied(tmp_path, unseen):
-        assert mutants.run_suite(tmp_path, 60) == (False, "")
+        assert mutants.run_suite(tmp_path, 60, "tests/test_mod.py") == (False, "")

@@ -82,7 +82,7 @@ def _textbook_rk4(flow, x0, v0=None, t0=0.0, T=1.0, steps=100):
     grad = flow.grad.grad
     dt = (T - t0) / steps
     ts = t0 + dt * np.arange(steps + 1)
-    if flow.second_order:
+    if flow.schedule.accelerated:
         def deriv(t, y):
             return np.stack([y[1], -flow.eta(t) * y[1] - grad(y[0])])
         y = np.stack([x0, v0]).astype(float)
@@ -122,7 +122,7 @@ def test_reference_trajectory_matches_textbook_rk4_bitwise(flow, x0, v0, t0, T):
     traj = reference_trajectory(flow, x0, v0, t0=t0, T=T, steps=2000)
     ts, ys = _textbook_rk4(flow, x0, v0, t0=t0, T=T, steps=2000)
     assert np.array_equal(traj.ts, ts)
-    if flow.second_order:
+    if flow.schedule.accelerated:
         assert np.array_equal(traj.xs, ys[:, 0])
         assert np.array_equal(traj.vs, ys[:, 1])
     else:

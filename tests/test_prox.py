@@ -165,12 +165,18 @@ def test_prox_quadratic_dimension_mismatch():
 
 _LS = prox.LeastSquares(np.arange(15.0).reshape(3, 5), np.ones(3))
 _MASKED = prox.MaskedQuadratic(np.ones((2, 2), bool), np.ones((2, 2)))
+_QUAD = prox.Quadratic(np.eye(3))
 
 
 @pytest.mark.parametrize("call,found,expected", [
     # numpy would return a (5, 3) array for both
     (lambda: _LS.prox(np.zeros((5, 1)), 0.5), "v has shape (5, 1)", "(5,)"),
     (lambda: _LS.grad(np.zeros((5, 1))), "x has shape (5, 1)", "(5,)"),
+    # numpy would raise TypeError here, which no exit code maps
+    (lambda: _LS.value(np.zeros((5, 1))), "x has shape (5, 1)", "(5,)"),
+    # numpy would return a (3, 3) gradient, and fail in the value's matmul
+    (lambda: _QUAD.grad(np.zeros((3, 1))), "x has shape (3, 1)", "(3,)"),
+    (lambda: _QUAD.value(np.zeros((3, 1))), "x has shape (3, 1)", "(3,)"),
     # numpy would broadcast the row against both rows of the mask
     (lambda: _MASKED.grad(np.zeros((1, 2))), "x has shape (1, 2)", "(2, 2)"),
     (lambda: _MASKED.value(np.zeros((1, 2))), "x has shape (1, 2)", "(2, 2)"),
@@ -178,8 +184,12 @@ _MASKED = prox.MaskedQuadratic(np.ones((2, 2), bool), np.ones((2, 2)))
     (lambda: prox.Nuclear(1.0).prox(np.ones(4), 0.5), "v has shape (4,)", "a matrix (2-D)"),
     (lambda: prox.Nuclear(1.0).prox(np.ones((2, 2, 2)), 0.5), "v has shape (2, 2, 2)",
      "a matrix (2-D)"),
-], ids=["least-squares-prox", "least-squares-grad", "masked-grad", "masked-value",
-        "nuclear-vector", "nuclear-stack"])
+    # numpy would sum both slices' singular values
+    (lambda: prox.Nuclear(1.0).value(np.ones((2, 2, 2))), "x has shape (2, 2, 2)",
+     "a matrix (2-D)"),
+], ids=["least-squares-prox", "least-squares-grad", "least-squares-value", "quadratic-grad",
+        "quadratic-value", "masked-grad", "masked-value", "nuclear-vector", "nuclear-stack",
+        "nuclear-value-stack"])
 def test_oracles_refuse_a_point_of_the_wrong_shape(call, found, expected):
     with pytest.raises(ParameterError, match=re.escape(f"{found}, expected {expected}")):
         call()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from proxflow import space
-from proxflow.errors import ShapeMismatchError
+from proxflow.errors import ParameterError, ShapeMismatchError
 
 
 def test_inner_orthogonal_and_direct():
@@ -32,7 +32,9 @@ def test_norm_has_the_bits_of_np_linalg_norm(rng):
 
 
 def test_inner_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
+    # a wrong shape is a bad parameter, named as such
+    assert issubclass(ShapeMismatchError, ParameterError)
+    with pytest.raises(ShapeMismatchError, match=r"^y has shape \(4,\), expected \(3,\)$"):
         space.inner(np.zeros(3), np.zeros(4))
     with pytest.raises(ShapeMismatchError):
         space.inner(np.zeros((2, 3)), np.zeros((3, 2)))
@@ -60,9 +62,9 @@ def test_norm_scaling(rng):
 
 
 def test_as_element_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        space.as_element(np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="^x0 contains non-finite entries$"):
+        space.as_element(np.array([1.0, np.nan]), "x0")
+    with pytest.raises(ParameterError):
         space.as_element(np.array([np.inf]))
 
 

@@ -4,7 +4,10 @@ Copies the checkout (less ``.git`` and caches) into a temporary
 directory once, then, for each entry of ``MUTANTS`` in turn, writes its
 one-line change into the copy, runs the tier-1 suite there with
 ``pytest -x`` and puts the line back.  The checkout is never written,
-and the tool's own tests are left out of the runs.
+and the tool's own tests are left out of the runs.  The mutated module's
+own test file (``tests/test_<module>.py``) runs first, so a mutant its
+tests catch fails in seconds, not after the slower files that sort
+before it.
 A mutant is *killed* when the suite fails (or runs past ``TIMEOUT_S``) and
 *survives* when it passes.  An entry that carries an ``equivalent``
 reason changes no result the suite can see, and is expected to survive.
@@ -111,15 +114,22 @@ MUTANTS = (
     Mutant("box-lower-bound", _PROX, "np.clip(v, self.lo, self.hi)",
            "np.clip(v, -np.inf, self.hi)"),
     # the oracles' shape checks, one each
-    Mutant("least-squares-prox-shape-unchecked", _PROX, "_check_shape(v, self.A.shape[1:])",
+    Mutant("least-squares-prox-shape-unchecked", _PROX, 'check_shape(v, self.A.shape[1:], "v")',
            "pass"),
     Mutant("least-squares-grad-shape-unchecked", _PROX,
-           '_check_shape(x, self.A.shape[1:], "x")', "pass"),
-    Mutant("masked-value-shape-unchecked", _PROX, '_check_shape(x, self.target.shape, "x")',
+           '(self.A @ check_shape(x, self.A.shape[1:], "x") - self.b)', "(self.A @ x - self.b)"),
+    Mutant("least-squares-value-shape-unchecked", _PROX,
+           'r = self.A @ check_shape(x, self.A.shape[1:], "x")', "r = self.A @ x"),
+    Mutant("quadratic-value-shape-unchecked", _PROX,
+           'px = self.P @ check_shape(x, self.q.shape, "x")', "px = self.P @ x"),
+    Mutant("quadratic-grad-shape-unchecked", _PROX,
+           'return self.P @ check_shape(x, self.q.shape, "x")', "return self.P @ x"),
+    Mutant("masked-value-shape-unchecked", _PROX, 'check_shape(x, self.target.shape, "x")',
            "pass"),
-    Mutant("masked-grad-shape-unchecked", _PROX, '_check_shape(x, self.mask.shape, "x")',
+    Mutant("masked-grad-shape-unchecked", _PROX, 'check_shape(x, self.mask.shape, "x")',
            "pass"),
-    Mutant("nuclear-prox-shape-unchecked", _PROX, "if np.ndim(v) != 2:", "if False:"),
+    Mutant("nuclear-prox-shape-unchecked", _PROX, 'self._check_matrix(v, "v")', "pass"),
+    Mutant("nuclear-value-shape-unchecked", _PROX, 'self._check_matrix(x, "x")', "pass"),
     # the ODE lab
     Mutant("rk4-weights", _ODELAB, "x = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)",
            "x = x + dt / 6 * (2 * k1x + k2x + 2 * k3x + k4x)"),
@@ -167,22 +177,31 @@ def applied(tree: Path, mutant: Mutant):
         (tree / mutant.path).write_text(original, encoding="utf-8")
 
 
-def run_suite(tree: Path, timeout: float) -> tuple[bool, str]:
-    """Run ``pytest -x`` in ``tree``: (killed, the first failing test or why)."""
+def run_suite(tree: Path, timeout: float, first: str | None = None) -> tuple[bool, str]:
+    """Run ``pytest -x`` in ``tree``: (killed, the first failing test or why).
+
+    The test files run in pytest's own order, except that ``first`` (a
+    path relative to ``tree``, such as ``tests/test_prox.py``) runs before
+    the others when the suite has it.
+    """
+    files = [path.relative_to(tree).as_posix()
+             for path in sorted((tree / "tests").glob("test_*.py"))]
+    files = sorted((name for name in files if name != _OWN_TESTS),
+                   key=lambda name: name != first)      # stable: only ``first`` moves
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(tree / "src"),
                                                         os.environ.get("PYTHONPATH")])))
     try:
         proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q",
-                               "-p", "no:cacheprovider", f"--ignore={_OWN_TESTS}"],
+                               "-p", "no:cacheprovider", *files],
                               cwd=tree, env=env, capture_output=True, text=True,
                               timeout=timeout, check=False)
     except subprocess.TimeoutExpired:
         return True, f"timeout after {timeout:g} s"
     if proc.returncode == 0:
         return False, ""
-    first = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M)
-    return True, first.group(1) if first else f"pytest exit {proc.returncode}"
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M)
+    return True, failed.group(1) if failed else f"pytest exit {proc.returncode}"
 
 
 def main() -> int:
@@ -193,13 +212,14 @@ def main() -> int:
         for mutant in MUTANTS:
             start = time.perf_counter()
             with applied(tree, mutant):
-                killed, detail = run_suite(tree, TIMEOUT_S)
+                killed, detail = run_suite(tree, TIMEOUT_S,
+                                           f"tests/test_{Path(mutant.path).stem}.py")
             if mutant.equivalent:
                 verdict = "KILLED, marked equivalent" if killed else "equivalent"
             else:
                 verdict = "killed" if killed else "SURVIVED"
             unexpected += killed == bool(mutant.equivalent)
-            print(f"{mutant.name:32s} {verdict:12s} {time.perf_counter() - start:6.1f} s  "
+            print(f"{mutant.name:36s} {verdict:12s} {time.perf_counter() - start:6.1f} s  "
                   f"{detail or mutant.equivalent or ''}", flush=True)
     print(f"{len(MUTANTS)} mutants, {unexpected} not as the table expects")
     return 1 if unexpected else 0
